@@ -348,6 +348,8 @@ def cmd_sweep(config: RunConfig) -> tuple[dict, int]:
 
 def cmd_selfcheck(config: RunConfig) -> tuple[dict, int]:
     """Seeded property suites; any recorded violation exits 3."""
+    if config.rounds < 1 or config.samples < 1:
+        raise CLIError("--rounds and --samples must be at least 1")
     results = run_all(config.seed, config.rounds, config.samples, config.cap)
     ok = all(result.ok for result in results)
     payload = {"ok": ok, "results": [result.to_json() for result in results]}
@@ -406,7 +408,7 @@ def _scalar(value) -> str:
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "text":
         return "\n".join(_text_lines(payload)) + "\n"
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,7 @@ def _fmt(value: float) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _checked_path(path) -> Path:

@@ -140,6 +140,9 @@ def family_from_invariants(
 def family_from_mapping(data: dict, cap: int = DEFAULT_CAP) -> FamilyGerm:
     """Accept {"u": text} or {"k0": .., "k1": .., "alpha": .., "higher": text?}."""
     if "u" in data:
+        conflicting = [key for key in ("k0", "k1", "alpha", "higher") if key in data]
+        if conflicting:
+            raise ValueError(f"family input gives 'u' together with {conflicting}; pass one form")
         u = TruncatedPoly.from_text(SOURCE_VARS, data["u"], cap)
         return extract_invariants(u)
     missing = [key for key in ("k0", "k1", "alpha") if key not in data]
@@ -232,9 +235,9 @@ def probe_branch_index(
     """Locate the index of a branch germ via unabsorbed jet content.
 
     Builds the tangent space of the germ under the unrestricted group
-    (all source and target coordinate changes) and scans the branch slot
-    from the working order downward for the first degree not fully inside
-    the span.  Content the space absorbs is removable by a coordinate
+    (all source and target coordinate changes) and reads, from its
+    absorbed columns, the highest degree of the branch slot not fully
+    inside the span.  Content the space absorbs is removable by a coordinate
     change; the top degree that resists marks the adjacent more generic
     germ in the branch and so pins the index, provided enough of the
     window above it was seen to rule out deeper members.
@@ -244,21 +247,16 @@ def probe_branch_index(
     basis = build_extended_tangent_space(germ, order, kind=KIND_FULL)
     order = basis.order
     count = len(basis.monomials)
-    slot = 2 if family == "H" else 1
-    top_failure: int | None = None
-    for degree in range(order, 0, -1):
-        absorbed = True
-        for i, md in enumerate(basis.monomials):
-            if sum(md) != degree:
-                continue
-            row = [0] * basis.dimension
-            row[slot * count + i] = 1
-            if not basis.contains_row(row):
-                absorbed = False
-                break
-        if not absorbed:
-            top_failure = degree
-            break
+    offset = (2 if family == "H" else 1) * count
+    absorbed = basis.absorbed_columns()
+    top_failure = max(
+        (
+            sum(md)
+            for i, md in enumerate(basis.monomials)
+            if sum(md) > 0 and offset + i not in absorbed
+        ),
+        default=None,
+    )
     if top_failure is None:
         # Nothing resists at any degree; no branch signature in the window.
         return BranchIndex(family, order, resolved=False, lower_bound=2)

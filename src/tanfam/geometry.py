@@ -69,6 +69,9 @@ class GridSpec:
     resolution_t: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
+        bounds = (self.xi_min, self.xi_max, self.t_min, self.t_max)
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise ValueError("grid rectangle bounds must be finite")
         if not (self.xi_min < self.xi_max and self.t_min < self.t_max):
             raise ValueError("grid rectangle is degenerate")
         if self.resolution_xi < 2 or self.resolution_t < 2:

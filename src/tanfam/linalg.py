@@ -1,135 +1,122 @@
-"""Fraction-free exact row reduction over the rationals.
+"""Fraction-free exact row reduction over the rationals, on sparse rows.
 
-Tangent-space computations reduce to rank and membership questions for
-matrices whose entries are Fractions.  Everything here works on rows
-rescaled to primitive integer vectors (multiply by the LCM of the
-denominators, divide by the GCD, flip so the leading entry is positive),
-which keeps the arithmetic in machine ints for the typical sizes and
-makes the reduced form unique, hence byte-for-byte reproducible.
+A row is a dict mapping column to nonzero entry.  Tangent-space
+generators touch few of their columns, so rows store only those.  Every
+row is rescaled to a primitive integer row (multiply by the LCM of the
+denominators, divide by the GCD, flip so the entry in the lowest column
+is positive), which keeps the arithmetic in integers and makes the
+reduced form unique, hence byte-for-byte reproducible.
 
 RowSpace is an incremental echelon basis: rows are added one at a time
-and forward-reduced against the existing pivots (leftmost-column pivot
-rule).  Rank, membership, and residuals are available at any point;
-canonical_matrix() back-eliminates to the unique reduced echelon form.
+and forward-reduced against the existing pivots, each row's pivot being
+its lowest column.  Rank and membership are available at any point;
+canonical_matrix() back-eliminates to the unique reduced echelon form
+and is the one place rows are written out densely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Mapping
 
-IntRow = list[int]
+SparseRow = dict[int, int]
 
 
-def primitive_row(row: Sequence[Fraction | int]) -> IntRow:
-    """Rescale a rational row to a primitive integer row with positive lead."""
-    fracs = [value if isinstance(value, Fraction) else Fraction(value) for value in row]
-    denom = 1
-    for value in fracs:
-        denom = lcm(denom, value.denominator)
-    ints = [int(value * denom) for value in fracs]
-    common = 0
-    for value in ints:
-        common = gcd(common, value)
-    if common > 1:
-        ints = [value // common for value in ints]
-    for value in ints:
-        if value != 0:
-            if value < 0:
-                ints = [-w for w in ints]
-            break
+def primitive_row(row: Mapping[int, Fraction | int]) -> SparseRow:
+    """Rescale a sparse rational row to a primitive integer row with
+    positive lead entry, dropping zero entries."""
+    denom = lcm(*(value.denominator for value in row.values()))
+    ints = {
+        col: value.numerator * (denom // value.denominator)
+        for col, value in row.items()
+        if value != 0
+    }
+    if not ints:
+        return ints
+    common = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        common = -common
+    if common != 1:
+        ints = {col: value // common for col, value in ints.items()}
     return ints
 
 
-def _pivot_index(row: IntRow) -> int:
-    for j, value in enumerate(row):
-        if value != 0:
-            return j
-    return -1
-
-
-def _eliminate(row: IntRow, pivot_row: IntRow, col: int) -> IntRow:
+def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> SparseRow:
     """Cross-multiply so row[col] becomes 0, keeping integer entries."""
     a = pivot_row[col]
     b = row[col]
     g = gcd(a, b)
     ra, rb = a // g, b // g
-    return [ra * x - rb * p for x, p in zip(row, pivot_row)]
+    out = {c: ra * x for c, x in row.items()}
+    for c, p in pivot_row.items():
+        value = out.get(c, 0) - rb * p
+        if value:
+            out[c] = value
+        else:
+            del out[c]
+    return out
 
 
 class RowSpace:
-    """Incremental row space of integer-primitive vectors of fixed width."""
+    """Incremental row space of primitive sparse integer rows of fixed width."""
 
     def __init__(self, width: int):
         if width < 1:
             raise ValueError("width must be positive")
         self.width = width
         # Echelon rows keyed by pivot column; kept primitive.
-        self._rows: dict[int, IntRow] = {}
+        self._rows: dict[int, SparseRow] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, row: IntRow) -> IntRow:
+    def _prepare(self, row: Mapping[int, Fraction | int]) -> SparseRow:
+        if row and not (0 <= min(row) and max(row) < self.width):
+            raise ValueError(f"row has a column outside 0..{self.width - 1}")
+        return primitive_row(row)
+
+    def _reduce(self, row: SparseRow) -> SparseRow:
         current = row
-        while True:
-            col = _pivot_index(current)
-            if col < 0:
-                return current
+        while current:
+            col = min(current)
             pivot_row = self._rows.get(col)
             if pivot_row is None:
-                return current
+                break
             current = _eliminate(current, pivot_row, col)
+        return current
 
-    def add(self, row: Sequence[Fraction | int]) -> bool:
+    def add(self, row: Mapping[int, Fraction | int]) -> bool:
         """Insert a row; returns True iff it enlarged the space."""
-        if len(row) != self.width:
-            raise ValueError(f"row has width {len(row)}, expected {self.width}")
-        reduced = self._reduce(primitive_row(row))
-        col = _pivot_index(reduced)
-        if col < 0:
+        reduced = self._reduce(self._prepare(row))
+        if not reduced:
             return False
-        self._rows[col] = primitive_row(reduced)
+        self._rows[min(reduced)] = primitive_row(reduced)
         return True
 
-    def extend(self, rows: Iterable[Sequence[Fraction | int]]) -> int:
-        """Insert many rows; returns how many enlarged the space."""
-        return sum(1 for row in rows if self.add(row))
-
-    def contains(self, row: Sequence[Fraction | int]) -> bool:
-        if len(row) != self.width:
-            raise ValueError(f"row has width {len(row)}, expected {self.width}")
-        return _pivot_index(self._reduce(primitive_row(row))) < 0
-
-    def residual(self, row: Sequence[Fraction | int]) -> IntRow:
-        """The part of row outside the space (primitive; all zeros if inside)."""
-        if len(row) != self.width:
-            raise ValueError(f"row has width {len(row)}, expected {self.width}")
-        return primitive_row(self._reduce(primitive_row(row)))
+    def contains(self, row: Mapping[int, Fraction | int]) -> bool:
+        return not self._reduce(self._prepare(row))
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)
 
-    def canonical_matrix(self) -> list[IntRow]:
-        """Unique reduced echelon form: back-eliminated, primitive rows."""
+    def canonical_matrix(self) -> list[list[int]]:
+        """Unique reduced echelon form: back-eliminated, primitive, dense rows."""
         cols = sorted(self._rows)
-        rows = [list(self._rows[c]) for c in cols]
+        rows = [self._rows[c] for c in cols]
         for i in range(len(rows) - 1, -1, -1):
             col = cols[i]
             for k in range(i):
-                if rows[k][col] != 0:
+                if col in rows[k]:
                     rows[k] = _eliminate(rows[k], rows[i], col)
-        return [primitive_row(r) for r in rows]
+        dense = []
+        for row in rows:
+            row = primitive_row(row)
+            dense.append([row.get(j, 0) for j in range(self.width)])
+        return dense
 
     def copy(self) -> "RowSpace":
         clone = RowSpace(self.width)
-        clone._rows = {c: list(r) for c, r in self._rows.items()}
+        clone._rows = dict(self._rows)
         return clone
-
-
-def matrix_rank(rows: Iterable[Sequence[Fraction | int]], width: int) -> int:
-    space = RowSpace(width)
-    space.extend(rows)
-    return space.rank

@@ -18,10 +18,18 @@ different conventions for "positive order" exist; 2 is the default and
 the one all shipped checks use.
 
 Every space is truncated at a working order W <= cap - 1 (the cap-degree
-terms of the derivatives of f are not trustworthy), flattened to exact
-coefficient vectors in the global monomial order, and row-reduced with
-the fraction-free elimination from linalg.  Identical inputs therefore
-produce identical reduced matrices.
+terms of the derivatives of f are not trustworthy).  Each generator is
+flattened straight from its jet terms to a sparse primitive integer row
+over the slot-major columns (slot, monomial), in the global monomial
+order, and row-reduced with the fraction-free elimination from linalg.
+Identical inputs therefore produce identical reduced matrices.
+
+Membership has one primitive, RowSpace.contains.  Unit vectors need no
+call at all: e_j lies in the span exactly when it is a row of the
+reduced echelon form, so block checks and branch probes read the set of
+such columns (absorbed_columns).  Membership modulo per-slot degree caps
+is membership in a copy of the space with the unit rows of the
+truncated columns added.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from tanfam.jets import (
     monomial_basis,
     monomial_text,
 )
-from tanfam.linalg import RowSpace
+from tanfam.linalg import RowSpace, SparseRow, primitive_row
 
 JetTriple = tuple[TruncatedPoly, TruncatedPoly, TruncatedPoly]
 
@@ -79,25 +87,22 @@ def _coerce_triple(vec: Sequence[TruncatedPoly], germ: MapGerm) -> JetTriple:
 
 
 def flatten_triple(
-    triple: Sequence[TruncatedPoly],
-    monomials: Sequence[Exponents],
-    caps: Sequence[int] | None = None,
-) -> list[Fraction]:
-    """Slot-major coefficient vector over the given monomial list.
+    triple: Sequence[TruncatedPoly], monomials: Sequence[Exponents]
+) -> SparseRow:
+    """Slot-major primitive integer row over the given monomial list.
 
-    With caps = (p, q, r), entries of slot s above degree caps[s] are
-    zeroed: flattening then computes in the quotient by the per-slot
-    ideal blocks of the next degrees.
+    Terms whose monomial is not in the list (above the working order)
+    are dropped.
     """
-    row: list[Fraction] = []
+    index = {md: i for i, md in enumerate(monomials)}
+    count = len(monomials)
+    row: dict[int, Fraction] = {}
     for slot, comp in enumerate(triple):
-        limit = None if caps is None else caps[slot]
-        for md in monomials:
-            if limit is not None and sum(md) > limit:
-                row.append(Fraction(0))
-            else:
-                row.append(comp.coefficient(md))
-    return row
+        for md, value in comp.terms():
+            i = index.get(md)
+            if i is not None:
+                row[slot * count + i] = value
+    return primitive_row(row)
 
 
 def _monomial_poly(md: Exponents, cap: int) -> TruncatedPoly:
@@ -208,7 +213,7 @@ class TangentSpaceBasis:
         self.provenance = tuple(provenance)
         self.config = dict(config or {})
         self._canonical: list[list[int]] | None = None
-        self._truncations: dict[tuple[int, int, int], RowSpace] = {}
+        self._absorbed: frozenset[int] | None = None
 
     @property
     def rank(self) -> int:
@@ -234,42 +239,39 @@ class TangentSpaceBasis:
         md = self.monomials[index % count]
         return {"slot": index // count + 1, "monomial": monomial_text(md, SOURCE_VARS)}
 
-    def _slot_degree_space(self, caps: tuple[int, int, int]) -> RowSpace:
-        space = self._truncations.get(caps)
-        if space is None:
-            count = len(self.monomials)
-            degrees = [sum(md) for md in self.monomials]
-            space = RowSpace(self._space.width)
-            for row in self.canonical_matrix():
-                projected = [
-                    0 if degrees[i % count] > caps[i // count] else value
-                    for i, value in enumerate(row)
-                ]
-                space.add(projected)
-            self._truncations[caps] = space
-        return space
+    def absorbed_columns(self) -> frozenset[int]:
+        """Columns j whose unit vector e_j lies in the span.
 
-    def contains_row(
-        self, row: Sequence[Fraction | int], caps: Sequence[int] | None = None
-    ) -> bool:
-        if caps is None:
-            return self._space.contains(row)
-        return self._slot_degree_space(tuple(caps)).contains(row)
+        e_j lies in the span exactly when it is a row of the reduced
+        echelon form: its one nonzero entry sits in at most one pivot
+        column, so it is a multiple of that pivot's primitive row.
+        """
+        if self._absorbed is None:
+            self._absorbed = frozenset(
+                row.index(1)
+                for row in self.canonical_matrix()
+                if row.count(0) == len(row) - 1
+            )
+        return self._absorbed
 
     def contains(
         self, vec: Sequence[TruncatedPoly], caps: Sequence[int] | None = None
     ) -> bool:
-        """Membership of a jet triple, optionally modulo per-slot degree caps."""
-        triple = _coerce_triple(vec, self.germ)
-        row = flatten_triple(triple, self.monomials, caps)
-        return self.contains_row(row, caps)
+        """Membership of a jet triple, optionally modulo per-slot degree caps.
 
-    def augmented(self, vectors: Iterable[Sequence[TruncatedPoly]]) -> RowSpace:
-        """A copy of the row space with extra jet triples added."""
-        space = self._space.copy()
-        for vec in vectors:
-            space.add(flatten_triple(_coerce_triple(vec, self.germ), self.monomials))
-        return space
+        With caps = (p, q, r), the monomials of slot s above degree caps[s]
+        are quotiented out: their unit rows join a copy of the space.
+        """
+        row = flatten_triple(_coerce_triple(vec, self.germ), self.monomials)
+        space = self._space
+        if caps is not None:
+            space = space.copy()
+            count = len(self.monomials)
+            for slot, limit in enumerate(caps):
+                for i, md in enumerate(self.monomials):
+                    if sum(md) > limit:
+                        space.add({slot * count + i: 1})
+        return space.contains(row)
 
     def to_verdict(self) -> dict:
         verdict = {
@@ -366,28 +368,25 @@ def contains_ideal_block(
 ) -> BlockCheck:
     """Does the span contain all slotwise monomials of degrees (>=p, >=q, >=r)?
 
-    Checks every coordinate vector (mu, 0, 0) with deg mu in p..W, then
-    (0, mu, 0) from q and (0, 0, mu) from r.  An empty degree range (block
-    threshold above W) is vacuously satisfied.  On failure the first
-    missing monomial is returned as a witness.
+    Reads the absorbed columns for every coordinate vector (mu, 0, 0) with
+    deg mu in p..W, then (0, mu, 0) from q and (0, 0, mu) from r.  An empty
+    degree range (block threshold above W) is vacuously satisfied.  On
+    failure the first missing monomial in column order (slot, then
+    monomial) is returned as a witness.
     """
     for threshold in (p, q, r):
         if threshold < 0:
             raise ValueError("block degrees must be non-negative")
-    width = basis.dimension
     count = len(basis.monomials)
-    for slot, threshold in enumerate((p, q, r)):
-        for i, md in enumerate(basis.monomials):
-            if sum(md) < threshold:
-                continue
-            row = [0] * width
-            row[slot * count + i] = 1
-            if not basis.contains_row(row):
-                witness = {"slot": slot + 1, "monomial": monomial_text(md, SOURCE_VARS)}
-                return BlockCheck(
-                    False, (p, q, r), basis.order, basis.order + 1, witness
-                )
-    return BlockCheck(True, (p, q, r), basis.order, basis.order + 1, None)
+    wanted = {
+        slot * count + i
+        for slot, threshold in enumerate((p, q, r))
+        for i, md in enumerate(basis.monomials)
+        if sum(md) >= threshold
+    }
+    missing = wanted - basis.absorbed_columns()
+    witness = basis.column_label(min(missing)) if missing else None
+    return BlockCheck(not missing, (p, q, r), basis.order, basis.order + 1, witness)
 
 
 def jet_sufficiency_step(

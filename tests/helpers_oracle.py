@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 XI, T = sp.symbols("xi t")
 
@@ -111,6 +112,37 @@ def sympy_rank(
     return sp.Matrix(rows).rank()
 
 
+def sympy_contains_each(
+    comps: list[sp.Expr],
+    order: int,
+    triples: list[list[sp.Expr]],
+    kind: str = "A-star",
+    reduced: bool = False,
+    caps: tuple[int, int, int] | None = None,
+) -> list[bool]:
+    """Membership of each jet triple via augmented-rank comparison.
+
+    With caps = (p, q, r), the unit rows of the slot-s monomials above
+    degree caps[s] join the generator rows first, so membership is read
+    modulo those monomials.
+    """
+    rows, monomials = tangent_rows(comps, order, kind, reduced)
+    if caps is not None:
+        width = 3 * len(monomials)
+        for slot, limit in enumerate(caps):
+            for i, monom in enumerate(monomials):
+                if sum(monom) > limit:
+                    unit = [sp.Integer(0)] * width
+                    unit[slot * len(monomials) + i] = sp.Integer(1)
+                    rows.append(unit)
+
+    def rank(matrix_rows: list[list]) -> int:
+        return DomainMatrix.from_Matrix(sp.Matrix(matrix_rows)).convert_to(sp.QQ).rank()
+
+    base_rank = rank(rows)
+    return [rank(rows + [_flatten(t, monomials, order)]) == base_rank for t in triples]
+
+
 def sympy_contains(
     comps: list[sp.Expr],
     order: int,
@@ -119,8 +151,4 @@ def sympy_contains(
     reduced: bool = False,
 ) -> bool:
     """Membership of a jet triple via augmented-rank comparison."""
-    rows, monomials = tangent_rows(comps, order, kind, reduced)
-    matrix = sp.Matrix(rows)
-    base_rank = matrix.rank()
-    extra = _flatten(triple, monomials, order)
-    return sp.Matrix(rows + [extra]).rank() == base_rank
+    return sympy_contains_each(comps, order, [triple], kind, reduced)[0]

@@ -102,6 +102,16 @@ def test_classify_malformed_inputs(capsys, raw):
     assert err.startswith("error:")
 
 
+def test_classify_rejects_u_with_k0(capsys):
+    # u alone classifies as a = -7/4; the extra k0 must not be dropped silently
+    code, out, err = run(
+        capsys, "classify", "--input", '{"u": "1 xi t^2 + 3/2 t^3", "k0": "5"}'
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "k0" in err
+
+
 def test_classify_file_input(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text('{"u": "1 t^2"}')
@@ -379,6 +389,14 @@ def test_selfcheck_out_file(capsys, tmp_path):
     assert json.loads(out_file.read_text())["ok"] is True
 
 
+@pytest.mark.parametrize("rounds, samples", [("0", "0"), ("0", "3"), ("5", "0"), ("-1", "2")])
+def test_selfcheck_rejects_empty_runs(capsys, rounds, samples):
+    code, out, err = run(capsys, "selfcheck", "--rounds", rounds, "--samples", samples)
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # rendering and shared flags
 
@@ -428,3 +446,23 @@ def test_bad_domain(capsys, tmp_path):
     )
     assert code == EXIT_MALFORMED
     assert "--domain" in err
+
+
+@pytest.mark.parametrize("domain", ["inf", "-inf", "nan", "-1,1,-1,inf", "-inf,1,-1,1"])
+def test_non_finite_domain_is_malformed(capsys, tmp_path, domain):
+    out_file = tmp_path / "e.svg"
+    code, out, err = run(
+        capsys,
+        "envelope",
+        "--input",
+        '{"u": "1 xi t^2"}',
+        f"--domain={domain}",
+        "--grid",
+        "16",
+        "--out",
+        str(out_file),
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "--domain" in err
+    assert not out_file.exists()

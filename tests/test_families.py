@@ -66,6 +66,13 @@ def test_family_from_mapping_variants():
         family_from_mapping({"k0": 0, "k1": 1})  # alpha missing
 
 
+@pytest.mark.parametrize("extra", ["k0", "k1", "alpha", "higher"])
+def test_family_from_mapping_rejects_u_with_invariant_keys(extra):
+    value = "1 t^4" if extra == "higher" else "5"
+    with pytest.raises(ValueError, match="together with"):
+        family_from_mapping({"u": "1 xi t^2 + 3/2 t^3", extra: value})
+
+
 def test_invariant_a_values():
     assert invariant_a(extract_invariants(u("1 t^2 xi"))) == Fraction(-1)
     assert invariant_a(FamilyInvariants(Fraction(0), Fraction(1), Fraction(1, 2))) == Fraction(1, 4)

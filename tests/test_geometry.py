@@ -53,6 +53,10 @@ def test_gridspec_validation():
         GridSpec(1.0, -1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         GridSpec(resolution_xi=1)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec.square(math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(-1.0, 1.0, -1.0, math.inf)
     grid = GridSpec.square(2.0, 5)
     assert grid.xi_min == -2.0 and grid.t_max == 2.0
     assert grid.resolution_xi == grid.resolution_t == 5

@@ -1,80 +1,75 @@
-"""Fraction-free row reduction: primitive rows, incremental rank, membership."""
+"""Fraction-free row reduction on sparse rows: primitive rows, rank, membership."""
 
 from fractions import Fraction
 
 import pytest
 
-from tanfam.linalg import RowSpace, matrix_rank, primitive_row
+from tanfam.linalg import RowSpace, primitive_row
 
 
 def test_primitive_row_clears_denominators():
-    assert primitive_row([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert primitive_row([Fraction(2, 4), Fraction(1, 4)]) == [2, 1]
+    assert primitive_row({0: Fraction(1, 2), 1: Fraction(1, 3)}) == {0: 3, 1: 2}
+    assert primitive_row({0: Fraction(2, 4), 1: Fraction(1, 4)}) == {0: 2, 1: 1}
 
 
 def test_primitive_row_divides_common_factor():
-    assert primitive_row([4, 6, -2]) == [2, 3, -1]
+    assert primitive_row({0: 4, 1: 6, 2: -2}) == {0: 2, 1: 3, 2: -1}
 
 
 def test_primitive_row_normalizes_leading_sign():
-    assert primitive_row([-2, 4]) == [1, -2]
-    assert primitive_row([0, -3, 6]) == [0, 1, -2]
+    assert primitive_row({0: -2, 1: 4}) == {0: 1, 1: -2}
+    # the lead is the entry in the lowest column, whatever the insertion order
+    assert primitive_row({2: 6, 1: -3}) == {1: 1, 2: -2}
 
 
 def test_primitive_row_zero():
-    assert primitive_row([0, 0, 0]) == [0, 0, 0]
+    assert primitive_row({}) == {}
+    assert primitive_row({0: 0, 3: Fraction(0)}) == {}
+    assert primitive_row({0: 0, 2: -5}) == {2: 1}  # zero entries are dropped
 
 
 def test_rowspace_rank_and_membership():
     space = RowSpace(3)
-    assert space.add([1, 0, 1])
-    assert space.add([0, 1, 1])
-    assert not space.add([1, 1, 2])  # dependent
+    assert space.add({0: 1, 2: 1})
+    assert space.add({1: 1, 2: 1})
+    assert not space.add({0: 1, 1: 1, 2: 2})  # dependent
+    assert not space.add({})  # the zero row never enlarges the space
     assert space.rank == 2
-    assert space.contains([2, -1, 1])
-    assert not space.contains([0, 0, 1])
+    assert space.contains({0: 2, 1: -1, 2: 1})
+    assert space.contains({})
+    assert not space.contains({2: 1})
 
 
 def test_rowspace_rejects_wrong_width():
     space = RowSpace(2)
     with pytest.raises(ValueError):
-        space.add([1, 2, 3])
+        space.add({2: 1})
     with pytest.raises(ValueError):
-        space.contains([1])
+        space.add({-1: 1})
+    with pytest.raises(ValueError):
+        space.contains({0: 1, 5: 1})
     with pytest.raises(ValueError):
         RowSpace(0)
 
 
-def test_rowspace_extend_counts_new_rows():
-    space = RowSpace(3)
-    added = space.extend([[1, 0, 0], [2, 0, 0], [0, 1, 0]])
-    assert added == 2
-    assert space.rank == 2
-
-
-def test_rowspace_residual():
-    space = RowSpace(3)
-    space.add([1, 0, 0])
-    assert space.residual([3, 0, 0]) == [0, 0, 0]
-    # the residual is the primitive part outside the span
-    assert space.residual([2, 4, 0]) == [0, 1, 0]
-
-
 def test_rowspace_fraction_input():
     space = RowSpace(2)
-    space.add([Fraction(1, 3), Fraction(1, 6)])
-    assert space.contains([2, 1])
-    assert not space.contains([1, 1])
+    space.add({0: Fraction(1, 3), 1: Fraction(1, 6)})
+    assert space.contains({0: 2, 1: 1})
+    assert not space.contains({0: 1, 1: 1})
 
 
 def test_canonical_matrix_is_reduced_and_order_independent():
-    rows = [[2, 4, 0], [1, 1, 1], [0, 3, -3]]
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 1, 2: 1}, {1: 3, 2: -3}]
     a = RowSpace(3)
-    a.extend(rows)
     b = RowSpace(3)
-    b.extend(reversed(rows))
-    assert a.canonical_matrix() == b.canonical_matrix()
-    # back-elimination: above every pivot the column is zero
+    for row in rows:
+        a.add(row)
+    for row in reversed(rows):
+        b.add({col: row[col] for col in reversed(list(row))})
+    assert a.rank == b.rank == 2
+    assert a.canonical_matrix() == b.canonical_matrix() == [[1, 0, 2], [0, 1, -1]]
+    # back-elimination: above and below every pivot the column is zero
     canon = a.canonical_matrix()
     pivots = a.pivot_columns()
     for i, col in enumerate(pivots):
@@ -85,17 +80,30 @@ def test_canonical_matrix_is_reduced_and_order_independent():
 
 def test_rowspace_copy_is_independent():
     space = RowSpace(2)
-    space.add([1, 0])
+    space.add({0: 1})
     clone = space.copy()
-    clone.add([0, 1])
+    clone.add({1: 1})
     assert clone.rank == 2
     assert space.rank == 1
+    assert not space.contains({1: 1})
+
+
+def _rank(rows, width):
+    space = RowSpace(width)
+    for row in rows:
+        space.add(row)
+    return space.rank
 
 
 def test_matrix_rank():
-    assert matrix_rank([], 3) == 0
-    assert matrix_rank([[0, 0]], 2) == 0
-    assert matrix_rank([[1, 2], [2, 4], [0, 1]], 2) == 2
-    # Hilbert-like rational rows stay exact
-    rows = [[Fraction(1, i + j + 1) for j in range(4)] for i in range(4)]
-    assert matrix_rank(rows, 4) == 4
+    assert _rank([], 3) == 0
+    assert _rank([{}], 2) == 0
+    assert _rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], 2) == 2
+    # Hilbert-like rational rows stay exact: full rank, reduced to the identity
+    hilbert = RowSpace(4)
+    for i in range(4):
+        assert hilbert.add({j: Fraction(1, i + j + 1) for j in range(4)})
+    assert hilbert.rank == 4
+    assert hilbert.canonical_matrix() == [
+        [1 if j == i else 0 for j in range(4)] for i in range(4)
+    ]

@@ -11,7 +11,15 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from helpers_oracle import parse_component, sympy_contains, sympy_rank, tangent_rows, T, XI
+from helpers_oracle import (
+    parse_component,
+    sympy_contains,
+    sympy_contains_each,
+    sympy_rank,
+    tangent_rows,
+    T,
+    XI,
+)
 from tanfam.families import double_umbrella_form, fold_form
 from tanfam.jets import SOURCE_VARS, TruncatedPoly
 from tanfam.tangent import (
@@ -104,6 +112,72 @@ def test_membership_matches_oracle():
     assert sympy_contains(comps, 6, [sp.Integer(0), T**5, sp.Integer(0)])
     assert not basis.contains((ZERO, ZERO, T_P))
     assert not sympy_contains(comps, 6, [sp.Integer(0), sp.Integer(0), T])
+
+
+def unit_triples(monomials):
+    """Every slotwise monomial vector, in column order, as sympy triples."""
+    triples = []
+    for slot in range(3):
+        for i, j in monomials:
+            triple = [sp.Integer(0)] * 3
+            triple[slot] = XI**i * T**j
+            triples.append(triple)
+    return triples
+
+
+@pytest.mark.parametrize(
+    "space",
+    ["fold-reduced-4", "umbrella-A-star-5", "umbrella-A-5"],
+)
+def test_absorbed_columns_match_oracle_for_every_unit_vector(space):
+    if space == "fold-reduced-4":
+        germ = fold_form(8)
+        basis = build_reduced_tangent_space(germ, order=4)
+        options = {"reduced": True}
+    else:
+        germ = double_umbrella_form(Fraction(1, 5), 1, 8)
+        kind = KIND_FULL if space == "umbrella-A-5" else KIND_FIBERED
+        basis = build_extended_tangent_space(germ, order=5, kind=kind)
+        options = {"kind": kind}
+    members = sympy_contains_each(
+        oracle_comps(germ), basis.order, unit_triples(basis.monomials), **options
+    )
+    expected = {j for j, inside in enumerate(members) if inside}
+    assert basis.absorbed_columns() == expected
+    assert 0 < len(expected) < basis.dimension  # both outcomes are exercised
+
+
+def test_contains_with_caps_matches_oracle_with_truncated_unit_rows():
+    cases = [
+        ("fold", (ZERO, ZERO, T_P), (4, 4, 1)),
+        ("fold", (ZERO, ZERO, T_P), (4, 4, 0)),
+        ("fold", (ZERO, T_P * T_P + XI_P * T_P, ZERO), (1, 2, 1)),
+        ("fold", (ZERO, T_P * T_P + XI_P * T_P, ZERO), (1, 1, 1)),
+        ("fold", (T_P**3, ZERO, XI_P * T_P), (3, 2, 2)),
+        ("umbrella", (ZERO, ZERO, T_P), (5, 5, 1)),
+        ("umbrella", (ZERO, ZERO, T_P), (5, 5, 0)),
+        ("umbrella", (ZERO, T_P + XI_P * T_P, ZERO), (5, 1, 5)),
+        ("umbrella", (ZERO, T_P + XI_P * T_P, ZERO), (5, 0, 5)),
+        ("umbrella", (T_P * T_P, ZERO, T_P**3), (2, 4, 3)),
+    ]
+    spaces = {
+        "fold": (fold_form(8), build_reduced_tangent_space(fold_form(8), order=4), True),
+        "umbrella": (
+            double_umbrella_form(Fraction(1, 5), 1, 8),
+            build_extended_tangent_space(double_umbrella_form(Fraction(1, 5), 1, 8), 5),
+            False,
+        ),
+    }
+    outcomes = []
+    for name, vec, caps in cases:
+        germ, basis, reduced = spaces[name]
+        triple = [parse_component(comp.to_text()) for comp in vec]
+        (expected,) = sympy_contains_each(
+            oracle_comps(germ), basis.order, [triple], reduced=reduced, caps=caps
+        )
+        assert basis.contains(vec, caps=caps) == expected, (name, vec, caps)
+        outcomes.append(expected)
+    assert True in outcomes and False in outcomes
 
 
 # ---------------------------------------------------------------------------
