@@ -318,8 +318,6 @@ def cmd_envelope(config: RunConfig) -> tuple[dict, int]:
 
 def cmd_sweep(config: RunConfig) -> tuple[dict, int]:
     """Deformation sweep of the two-parameter form: frames plus manifest."""
-    if config.a is None:
-        raise CLIError("sweep needs --a")
     b = config.b if config.b is not None else Fraction(1)
     try:
         germ = double_umbrella_form(config.a, b, config.cap)
@@ -328,14 +326,17 @@ def cmd_sweep(config: RunConfig) -> tuple[dict, int]:
     lambdas = config.lambdas if config.lambdas is not None else default_sweep_lambdas()
     if config.mode == MODE_BEAKS and (config.mu1 != 0.0 or config.mu2 != 0.0):
         raise CLIError("--mu1/--mu2 apply in versal mode only")
-    frames = deformation_sweep(
-        germ,
-        mode=config.mode,
-        lambdas=lambdas,
-        grid=config.grid,
-        mu1=config.mu1,
-        mu2=config.mu2,
-    )
+    try:
+        frames = deformation_sweep(
+            germ,
+            mode=config.mode,
+            lambdas=lambdas,
+            grid=config.grid,
+            mu1=config.mu1,
+            mu2=config.mu2,
+        )
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
     out = config.out if config.out is not None else Path("sweep-out")
     manifest = emit_sweep(frames, out)
     payload = {
@@ -470,10 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         payload, code = COMMANDS[config.command](config)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except OSError as exc:
+    except (CLIError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     rendered = _render(payload, config.fmt)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
+from numpy.polynomial.polynomial import polyval
 
 from tanfam.jets import MapGerm, TruncatedPoly
 
@@ -88,7 +88,12 @@ class GridSpec:
         return np.linspace(self.t_min, self.t_max, self.resolution_t)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.xi_samples(), self.t_samples(), indexing="ij")
+        """Open (xi, t) mesh of shapes (resolution_xi, 1) and (1, resolution_t).
+
+        The two arrays broadcast against each other to the full grid, so
+        PlanarMap evaluates on them without a dense copy of either axis.
+        """
+        return np.meshgrid(self.xi_samples(), self.t_samples(), indexing="ij", sparse=True)
 
     def cell_diagonal(self) -> float:
         dx = (self.xi_max - self.xi_min) / (self.resolution_xi - 1)
@@ -153,7 +158,7 @@ class DeformationParams:
 
 
 def coefficient_array(p: TruncatedPoly) -> np.ndarray:
-    """Dense float coefficient grid c[i, j] for xi^i t^j, polyval2d layout."""
+    """Dense float coefficient grid c[i, j] of xi^i t^j (axis 0 is xi)."""
     c = np.zeros((p.cap + 1, p.cap + 1))
     for (e_xi, e_t), value in p.terms():
         c[e_xi, e_t] = float(value)
@@ -161,7 +166,7 @@ def coefficient_array(p: TruncatedPoly) -> np.ndarray:
 
 
 def _derive_array(c: np.ndarray, axis: int) -> np.ndarray:
-    """d/d(xi) for axis 0, d/dt for axis 1, on a polyval2d coefficient grid."""
+    """d/d(xi) for axis 0, d/dt for axis 1, on a coefficient_array grid."""
     n = c.shape[axis]
     if n <= 1:
         return np.zeros_like(c)
@@ -171,11 +176,21 @@ def _derive_array(c: np.ndarray, axis: int) -> np.ndarray:
     return c[:, 1:] * factors[None, :]
 
 
+def _evaluate(c: np.ndarray, xi, t) -> np.ndarray:
+    """sum c[i, j] xi^i t^j at (xi, t) broadcast together, Horner in xi then t.
+
+    Scattered points (equal shapes) and open meshes (GridSpec.mesh) both
+    work; per sample the operations are those of numpy's polyval2d.
+    """
+    return polyval(t, polyval(xi, c), tensor=False)
+
+
 class PlanarMap:
     """A planar polynomial map with vectorized evaluation and Jacobian data.
 
     Coefficients are plain float arrays, so deformations with float
-    parameters fit here even though they leave exact-jet land.
+    parameters fit here even though they leave exact-jet land.  Every
+    method takes xi and t that broadcast together.
     """
 
     def __init__(self, c1: np.ndarray, c2: np.ndarray):
@@ -196,15 +211,15 @@ class PlanarMap:
         return cls.from_polys(flat[0], flat[1])
 
     def __call__(self, xi, t) -> tuple[np.ndarray, np.ndarray]:
-        return polyval2d(xi, t, self.c1), polyval2d(xi, t, self.c2)
+        return _evaluate(self.c1, xi, t), _evaluate(self.c2, xi, t)
 
     def jacobian(self, xi, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Entries (d x/d xi, d x/d t, d y/d xi, d y/d t) at the samples."""
         return (
-            polyval2d(xi, t, self._d1_xi),
-            polyval2d(xi, t, self._d1_t),
-            polyval2d(xi, t, self._d2_xi),
-            polyval2d(xi, t, self._d2_t),
+            _evaluate(self._d1_xi, xi, t),
+            _evaluate(self._d1_t, xi, t),
+            _evaluate(self._d2_xi, xi, t),
+            _evaluate(self._d2_t, xi, t),
         )
 
     def det(self, xi, t) -> np.ndarray:
@@ -213,11 +228,9 @@ class PlanarMap:
 
 
 def as_planar_map(target) -> PlanarMap:
-    """Accept a MapGerm, a pair of jets, a PlanarMap or a DeformedMap."""
+    """Accept a MapGerm, a pair of jets or a PlanarMap."""
     if isinstance(target, PlanarMap):
         return target
-    if isinstance(target, DeformedMap):
-        return target.planar
     if isinstance(target, MapGerm):
         return PlanarMap.from_germ(target)
     if isinstance(target, Sequence) and len(target) >= 2:
@@ -242,46 +255,26 @@ def jacobian_det(f) -> tuple[TruncatedPoly, Callable]:
     return det, planar.det
 
 
-@dataclass(frozen=True, eq=False)
-class DeformedMap:
-    """A 3-component map deformed with float parameters.
+def apply_deformation(
+    base: MapGerm, params: DeformationParams, mode: str = MODE_VERSAL
+) -> PlanarMap:
+    """The planar part of a 3-component germ deformed with float parameters.
 
-    Modes: "versal" adds (mu1 * z, lam * t + mu2 * z, 0) with z read off as
+    Modes: "versal" adds (mu1 * z, lam * t + mu2 * z) with z read off as
     the third component of the base; "beaks" allows only the lam * t term,
     the deformation that keeps the projection direction fixed.
     """
-
-    base: MapGerm
-    params: DeformationParams
-    mode: str
-    c1: np.ndarray = field(repr=False)
-    c2: np.ndarray = field(repr=False)
-    c3: np.ndarray = field(repr=False)
-
-    @property
-    def planar(self) -> PlanarMap:
-        return PlanarMap(self.c1, self.c2)
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "params": self.params.to_json()}
-
-
-def apply_deformation(
-    base: MapGerm, params: DeformationParams, mode: str = MODE_VERSAL
-) -> DeformedMap:
     if base.arity != 3:
         raise ValueError("deformations act on 3-component germs")
     if mode not in (MODE_VERSAL, MODE_BEAKS):
         raise ValueError(f"mode must be '{MODE_VERSAL}' or '{MODE_BEAKS}', got {mode!r}")
     if mode == MODE_BEAKS and (params.mu1 != 0.0 or params.mu2 != 0.0):
         raise ValueError("the beaks deformation has mu1 = mu2 = 0")
-    a1 = coefficient_array(base[0])
-    a2 = coefficient_array(base[1])
     a3 = coefficient_array(base[2])
-    c1 = a1 + params.mu1 * a3
-    c2 = a2 + params.mu2 * a3
+    c1 = coefficient_array(base[0]) + params.mu1 * a3
+    c2 = coefficient_array(base[1]) + params.mu2 * a3
     c2[0, 1] += params.lam
-    return DeformedMap(base=base, params=params, mode=mode, c1=c1, c2=c2, c3=a3)
+    return PlanarMap(c1, c2)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +318,7 @@ class _Tracer:
         self.grid = grid
         self.xi = grid.xi_samples()
         self.t = grid.t_samples()
-        mesh_xi, mesh_t = np.meshgrid(self.xi, self.t, indexing="ij")
-        self.values = np.asarray(planar.det(mesh_xi, mesh_t), dtype=float)
+        self.values = np.asarray(planar.det(*grid.mesh()), dtype=float)
         self._points: dict[tuple, tuple[float, float]] = {}
 
     def edge_point(self, edge: tuple) -> tuple[float, float]:

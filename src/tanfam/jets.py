@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 SOURCE_VARS = ("xi", "t")
 TARGET_VARS = ("x", "y", "z")
@@ -52,10 +52,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
-
-
-def total_degree(exponents: Exponents) -> int:
-    return sum(exponents)
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -155,19 +151,6 @@ class TruncatedPoly:
             raise ValueError(f"unknown variable {name!r}; have {variables}")
         exponents = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, cap, {exponents: 1})
-
-    @classmethod
-    def from_terms(
-        cls,
-        variables: Sequence[str],
-        terms: Iterable[tuple[RationalLike, Exponents]],
-        cap: int = DEFAULT_CAP,
-    ) -> "TruncatedPoly":
-        table: dict[Exponents, Fraction] = {}
-        for raw, exponents in terms:
-            exponents = tuple(exponents)
-            table[exponents] = table.get(exponents, Fraction(0)) + as_fraction(raw)
-        return cls(variables, cap, table)
 
     @classmethod
     def from_text(

@@ -352,6 +352,27 @@ def test_sweep_bad_lambdas(capsys, tmp_path):
     assert "--lambdas" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--lambdas=inf"],
+        ["--lambdas=0,nan"],
+        ["--mode", "versal", "--mu1", "nan"],
+        ["--mode", "versal", "--mu2=-inf"],
+    ],
+)
+def test_sweep_non_finite_parameters_are_malformed(capsys, tmp_path, extra):
+    out_dir = tmp_path / "s"
+    code, out, err = run(
+        capsys, "sweep", "--a", "1/5", "--grid", "16", *extra, "--out", str(out_dir)
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # selfcheck
 

@@ -92,9 +92,44 @@ def test_as_planar_map_accepts_various_inputs():
     planar = PlanarMap.from_germ(TYPE_I)
     assert as_planar_map(planar) is planar
     deformed = apply_deformation(double_umbrella_form(Fraction(-1, 2), 1), DeformationParams())
-    assert isinstance(as_planar_map(deformed), PlanarMap)
+    assert isinstance(deformed, PlanarMap)
+    assert as_planar_map(deformed) is deformed
     with pytest.raises(TypeError):
         as_planar_map(42)
+
+
+def test_planar_map_on_open_mesh_matches_dense_polyval2d():
+    """Grid evaluation on GridSpec.mesh() is bit-for-bit numpy's polyval2d."""
+    umbrella = double_umbrella_form(Fraction(1, 5), 1)
+    rng = np.random.default_rng(11)
+    maps = [
+        apply_deformation(umbrella, DeformationParams(lam=0.1), MODE_BEAKS),
+        apply_deformation(umbrella, DeformationParams(lam=-0.05, mu1=0.03, mu2=0.02)),
+        PlanarMap(rng.normal(size=(4, 6)), rng.normal(size=(5, 3))),
+    ]
+    grid = GridSpec(-1.0, 0.5, -0.75, 1.0, resolution_xi=23, resolution_t=17)
+    open_xi, open_t = grid.mesh()
+    assert open_xi.shape == (23, 1) and open_t.shape == (1, 17)
+    dense_xi, dense_t = np.meshgrid(grid.xi_samples(), grid.t_samples(), indexing="ij")
+    for planar in maps:
+        derivatives = [
+            np.polynomial.polynomial.polyder(c, axis=axis)
+            for c in (planar.c1, planar.c2)
+            for axis in (0, 1)
+        ]
+        expected_jacobian = [
+            np.polynomial.polynomial.polyval2d(dense_xi, dense_t, d) for d in derivatives
+        ]
+        expected_values = [
+            np.polynomial.polynomial.polyval2d(dense_xi, dense_t, c)
+            for c in (planar.c1, planar.c2)
+        ]
+        for got, want in zip(planar(open_xi, open_t), expected_values):
+            assert np.array_equal(got, want)
+        for got, want in zip(planar.jacobian(open_xi, open_t), expected_jacobian):
+            assert np.array_equal(got, want)
+        j11, j12, j21, j22 = expected_jacobian
+        assert np.array_equal(planar.det(open_xi, open_t), j11 * j22 - j12 * j21)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +160,7 @@ def test_jacobian_matches_finite_differences():
         DeformationParams(lam=0.1),
         MODE_BEAKS,
     )
-    planar = deformed.planar
+    planar = deformed
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, size=(100, 2))
     h = 1e-5

@@ -146,11 +146,6 @@ def test_variable_and_constant_constructors():
         TruncatedPoly.variable(SOURCE_VARS, "z")
 
 
-def test_from_terms_accumulates():
-    q = TruncatedPoly.from_terms(SOURCE_VARS, [(1, (0, 1)), ("1/2", (0, 1))])
-    assert q.coefficient((0, 1)) == Fraction(3, 2)
-
-
 # ---------------------------------------------------------------------------
 # ring arithmetic and truncation
 
