@@ -67,6 +67,10 @@ EXIT_CONTRADICTS = 3
 
 VERIFY_KINDS = ("ideal-block", "fold-sufficiency", "miniversal")
 
+# Samples per axis that --grid may ask for.  A trace holds about 50 bytes
+# per grid sample at its peak, so the limit costs about 0.85 GB.
+MAX_GRID_RESOLUTION = 4096
+
 _EXCLUDED_MODULI = (Fraction(-1), Fraction(0), Fraction(1, 3))
 
 
@@ -150,8 +154,8 @@ def _load_input(text: str | None) -> dict:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     resolution = args.grid if args.grid is not None else DEFAULT_RESOLUTION
-    if resolution < 2:
-        raise CLIError("--grid needs at least 2 samples per axis")
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
     grid = _parse_domain(args.domain, resolution)
     data = _load_input(args.input) if getattr(args, "input", None) is not None else None
     return RunConfig(

@@ -124,7 +124,7 @@ def family_from_invariants(
         {(0, 2): as_fraction(k0), (1, 2): as_fraction(k1), (0, 3): as_fraction(alpha)},
     )
     if higher is not None:
-        if isinstance(higher, str):
+        if not isinstance(higher, TruncatedPoly):
             higher = TruncatedPoly.from_text(SOURCE_VARS, higher, cap)
         extract_invariants(higher)  # reuses the tangency validation
         for md in ((0, 2), (1, 2), (0, 3)):

@@ -13,10 +13,13 @@ Plain marching squares cannot represent a curve crossing: an X-node
 either lands in an ambiguous cell (where any local resolution splits the
 two analytic branches into hyperbola-like mixed halves) or, when the
 branch slopes conspire, in ordinary cells that silently weld the halves
-into V-shaped kinks.  Both artifacts are repaired the same way: after
-chain assembly, interior turns sharper than 35 degrees are cut, the
-loose ends (cut points plus the crossing points bordering ambiguous
-cells) are clustered within two cell diagonals, and each cluster is
+into V-shaped kinks.  One marching pass turns the sign grid into
+polylines: each non-ambiguous cell adds one segment between its two
+crossed edges, the segments chain into simple paths and cycles, and a
+path that ends on an edge of an ambiguous cell gets a loose end there.
+Both artifacts are then repaired the same way: interior turns sharper
+than 35 degrees are cut, the loose ends (cut points plus the ambiguous
+ends) are clustered within two cell diagonals, and each cluster is
 re-spliced in the pairing with the least total turning.  Criminants in
 this territory are unions of smooth curves, so sharp polyline turns are
 always tracing artifacts, never features.  Downstream branch counts and
@@ -281,152 +284,6 @@ def apply_deformation(
 # Marching squares
 # ----------------------------------------------------------------------
 
-# Case index bits: 1 = corner (i, j), 2 = (i+1, j), 4 = (i+1, j+1),
-# 8 = (i, j+1), set when the value there is >= 0.  Segment entries name
-# the crossed cell edges: b(ottom) t = t_j, T(op) t = t_{j+1},
-# l(eft) xi = xi_i, r(ight) xi = xi_{i+1}.
-_CELL_SEGMENTS = {
-    1: (("b", "l"),),
-    2: (("b", "r"),),
-    3: (("l", "r"),),
-    4: (("r", "T"),),
-    6: (("b", "T"),),
-    7: (("l", "T"),),
-    8: (("l", "T"),),
-    9: (("b", "T"),),
-    11: (("r", "T"),),
-    12: (("l", "r"),),
-    13: (("b", "r"),),
-    14: (("b", "l"),),
-}
-_AMBIGUOUS = {5, 10}
-
-
-def _global_edge(local: str, i: int, j: int) -> tuple:
-    if local == "b":
-        return ("x", i, j)
-    if local == "T":
-        return ("x", i, j + 1)
-    if local == "l":
-        return ("t", i, j)
-    return ("t", i + 1, j)  # "r"
-
-
-class _Tracer:
-    def __init__(self, planar: PlanarMap, grid: GridSpec):
-        self.planar = planar
-        self.grid = grid
-        self.xi = grid.xi_samples()
-        self.t = grid.t_samples()
-        self.values = np.asarray(planar.det(*grid.mesh()), dtype=float)
-        self._points: dict[tuple, tuple[float, float]] = {}
-
-    def edge_point(self, edge: tuple) -> tuple[float, float]:
-        cached = self._points.get(edge)
-        if cached is not None:
-            return cached
-        kind, i, j = edge
-        va = self.values[i, j]
-        if kind == "x":
-            vb = self.values[i + 1, j]
-            s = va / (va - vb)
-            point = (self.xi[i] + s * (self.xi[i + 1] - self.xi[i]), self.t[j])
-        else:
-            vb = self.values[i, j + 1]
-            s = va / (va - vb)
-            point = (self.xi[i], self.t[j] + s * (self.t[j + 1] - self.t[j]))
-        self._points[edge] = point
-        return point
-
-    def march(self) -> tuple[list[tuple], set[tuple]]:
-        """Collect segments cell by cell.
-
-        Ambiguous cells (diagonal sign pattern) contribute no segments;
-        their four crossed edges are returned instead, so the chains
-        arriving there end in loose stubs for the re-splice pass.
-        """
-        signs = self.values >= 0.0
-        case = (
-            signs[:-1, :-1].astype(np.int8)
-            + 2 * signs[1:, :-1]
-            + 4 * signs[1:, 1:]
-            + 8 * signs[:-1, 1:]
-        )
-        segments: list[tuple] = []
-        junction_edges: set[tuple] = set()
-        active = np.argwhere((case != 0) & (case != 15))
-        for i, j in active:
-            c = int(case[i, j])
-            if c in _AMBIGUOUS:
-                for local in ("b", "r", "T", "l"):
-                    junction_edges.add(_global_edge(local, int(i), int(j)))
-                continue
-            for local_a, local_b in _CELL_SEGMENTS[c]:
-                segments.append(
-                    (_global_edge(local_a, int(i), int(j)), _global_edge(local_b, int(i), int(j)))
-                )
-        return segments, junction_edges
-
-
-def _assemble(segments: Iterable[tuple]) -> list[tuple[list[tuple], bool]]:
-    """Chain segments into polylines of edge ids, deterministically.
-
-    Open chains start at the smallest odd-degree node; remaining cycles
-    start at their smallest node.  At every step the smallest unvisited
-    neighbor is taken, so the output depends only on the segment set.
-    """
-    adjacency: dict[tuple, list[tuple]] = {}
-    unvisited: set[tuple[tuple, tuple]] = set()
-    for a, b in segments:
-        if a == b:
-            continue
-        key = (a, b) if a <= b else (b, a)
-        if key in unvisited:
-            continue
-        unvisited.add(key)
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    for neighbors in adjacency.values():
-        neighbors.sort()
-
-    def walk(start: tuple) -> list[tuple]:
-        path = [start]
-        current = start
-        while True:
-            step = None
-            for neighbor in adjacency[current]:
-                key = (current, neighbor) if current <= neighbor else (neighbor, current)
-                if key in unvisited:
-                    step = (neighbor, key)
-                    break
-            if step is None:
-                return path
-            unvisited.remove(step[1])
-            path.append(step[0])
-            current = step[0]
-
-    chains: list[tuple[list[tuple], bool]] = []
-    odd_nodes = sorted(node for node, nb in adjacency.items() if len(nb) % 2 == 1)
-    for node in odd_nodes:
-        while any(
-            ((node, n) if node <= n else (n, node)) in unvisited for n in adjacency[node]
-        ):
-            chains.append((walk(node), False))
-    for node in sorted(adjacency):
-        while any(
-            ((node, n) if node <= n else (n, node)) in unvisited for n in adjacency[node]
-        ):
-            path = walk(node)
-            closed = len(path) > 2 and path[0] == path[-1]
-            chains.append((path, closed))
-    return chains
-
-
-_SHARP_TURN_DEGREES = 35.0
-_SPLICE_RADIUS_CELLS = 2.0
-_MAX_SPLICE_TURN_DEGREES = 90.0
-_MAX_SPLICE_CLUSTER = 8
-
 
 class _OpenCurve:
     """Mutable polyline during node repair; loose ends may be re-spliced."""
@@ -438,6 +295,97 @@ class _OpenCurve:
         self.closed = closed
         self.loose_start = loose_start
         self.loose_end = loose_end
+
+
+# Case index bits: 1 = corner (i, j), 2 = (i+1, j), 4 = (i+1, j+1),
+# 8 = (i, j+1), set when the value there is >= 0.  Row c names the two
+# cell edges crossed by the one segment of case c, as columns of the edge
+# offsets in _march: 0 = left (xi = xi_i), 1 = right (xi = xi_{i+1}),
+# 2 = bottom (t = t_j), 3 = top (t = t_{j+1}).  Cases 0 and 15 cross
+# nothing; the ambiguous cases 5 and 10 get no segment.
+_CASE_EDGES = np.array(
+    [(0, 0), (2, 0), (2, 1), (0, 1), (1, 3), (0, 0), (2, 3), (0, 3),
+     (0, 3), (2, 3), (0, 0), (1, 3), (0, 1), (2, 1), (2, 0), (0, 0)]
+)
+
+
+def _march(values: np.ndarray, xi: np.ndarray, t: np.ndarray) -> list[_OpenCurve]:
+    """Zero-level polylines of values sampled at xi x t, with loose-end flags.
+
+    Grid edges get integer ids: the t-edge from sample (i, j) to (i, j+1)
+    is i*M + j, the xi-edge from (i, j) to (i+1, j) is N*M + i*M + j.
+    Every non-ambiguous cell adds one segment between its two crossed
+    edges, and an edge borders at most two cells, so the segments chain
+    into simple paths and cycles by stepping to the other neighbour.
+    Ambiguous cells (diagonal sign pattern) add no segment; a path ending
+    on one of their edges gets a loose end for node repair.  Paths come
+    first, ordered by their lower end, then cycles, each from its lowest
+    edge towards the lower of that edge's neighbours.
+    """
+    n, m = values.shape
+    signs = (values >= 0.0).astype(np.uint8)
+    case = signs[:-1, :-1] | signs[1:, :-1] << 1 | signs[1:, 1:] << 2 | signs[:-1, 1:] << 3
+    offsets = np.array([0, m, n * m, n * m + 1])
+    ambiguous = (case == 5) | (case == 10)
+    i, j = np.nonzero((case != 0) & (case != 15) & ~ambiguous)
+    segments = (i * m + j)[:, None] + offsets[_CASE_EDGES[case[i, j]]]
+    i, j = np.nonzero(ambiguous)
+    junction_edges = set(((i * m + j)[:, None] + offsets).ravel().tolist())
+    neighbours: dict[int, list[int]] = {}
+    for a, b in segments.tolist():
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+
+    chains: list[list[int]] = []
+    seen: set[int] = set()
+    path_ends = sorted(node for node, near in neighbours.items() if len(near) == 1)
+    for start in path_ends + sorted(neighbours):
+        if start in seen:
+            continue
+        chain = [start]
+        seen.add(start)
+        previous, node = start, min(neighbours[start])
+        while True:
+            chain.append(node)
+            seen.add(node)
+            near = neighbours[node]
+            if node == start or len(near) == 1:
+                break
+            previous, node = node, near[0] if near[1] == previous else near[1]
+        chains.append(chain)
+    if not chains:
+        return []
+
+    ids = np.array([edge for chain in chains for edge in chain])
+    along_t = ids < n * m
+    i, j = np.divmod(np.where(along_t, ids, ids - n * m), m)
+    i2 = np.where(along_t, i, i + 1)
+    j2 = np.where(along_t, j + 1, j)
+    va = values[i, j]
+    s = va / (va - values[i2, j2])
+    xs = np.where(along_t, xi[i], xi[i] + s * (xi[i2] - xi[i]))
+    ts = np.where(along_t, t[j] + s * (t[j2] - t[j]), t[j])
+    points = list(zip(xs.tolist(), ts.tolist()))
+    curves = []
+    first = 0
+    for chain in chains:
+        closed = chain[0] == chain[-1]
+        curves.append(
+            _OpenCurve(
+                points[first : first + len(chain)],
+                closed=closed,
+                loose_start=not closed and chain[0] in junction_edges,
+                loose_end=not closed and chain[-1] in junction_edges,
+            )
+        )
+        first += len(chain)
+    return curves
+
+
+_SHARP_TURN_DEGREES = 35.0
+_SPLICE_RADIUS_CELLS = 2.0
+_MAX_SPLICE_TURN_DEGREES = 90.0
+_MAX_SPLICE_CLUSTER = 8
 
 
 def _turn_degrees(p0, p1, p2) -> float:
@@ -487,17 +435,14 @@ def _cut_sharp_turns(curves: list[_OpenCurve]) -> list[_OpenCurve]:
             out.append(curve)
             continue
         bounds = [0] + cuts + [len(pts) - 1]
-        for piece_index in range(len(bounds) - 1):
-            lo, hi = bounds[piece_index], bounds[piece_index + 1]
-            if hi - lo < 1:
-                continue
-            piece = _OpenCurve(
-                pts[lo : hi + 1],
-                loose_start=curve.loose_start if lo == 0 else True,
-                loose_end=curve.loose_end if hi == len(pts) - 1 else True,
+        for lo, hi in zip(bounds, bounds[1:]):
+            out.append(
+                _OpenCurve(
+                    pts[lo : hi + 1],
+                    loose_start=curve.loose_start if lo == 0 else True,
+                    loose_end=curve.loose_end if hi == len(pts) - 1 else True,
+                )
             )
-            if len(piece.points) >= 2:
-                out.append(piece)
     return out
 
 
@@ -551,7 +496,7 @@ def _matchings(stubs: list) -> Iterable[list[tuple]]:
 def _cluster_stubs(curves: list[_OpenCurve], radius: float) -> list[list[tuple]]:
     stubs = []
     for index, curve in enumerate(curves):
-        if curve.closed or len(curve.points) < 2:
+        if curve.closed:
             continue
         if curve.loose_start:
             stubs.append((index, 0))
@@ -577,50 +522,35 @@ def _cluster_stubs(curves: list[_OpenCurve], radius: float) -> list[list[tuple]]
 
 
 def _join(curves: list[_OpenCurve], joins: list[tuple]) -> list[_OpenCurve]:
-    """Apply end-to-end joins, tracking curves through successive merges."""
+    """Apply end-to-end joins of stubs (curve index, end), merging curves.
+
+    ends[id] holds the two original stubs at the start and the end of live
+    curve id, and home[stub] the (id, end) where that stub now sits.
+    """
     store: dict[int, _OpenCurve] = dict(enumerate(curves))
-    owner: dict[tuple, tuple] = {}
-    for index, curve in store.items():
-        owner[(index, 0)] = (index, 0)
-        owner[(index, 1)] = (index, 1)
-    next_id = len(curves)
-    for stub_a, stub_b in joins:
-        id_a, end_a = owner[stub_a]
-        id_b, end_b = owner[stub_b]
-        if id_a == id_b:
-            curve = store.pop(id_a)
-            curve.points.append(curve.points[0])
-            closed = _OpenCurve(curve.points, closed=True)
-            store[next_id] = closed
-            next_id += 1
-            continue
+    ends = {index: ((index, 0), (index, 1)) for index in store}
+    home = {stub: stub for pair in ends.values() for stub in pair}
+    for new_id, (stub_a, stub_b) in enumerate(joins, start=len(curves)):
+        id_a, end_a = home[stub_a]
+        id_b, end_b = home[stub_b]
         curve_a = store.pop(id_a)
+        if id_a == id_b:
+            store[new_id] = _OpenCurve(curve_a.points + curve_a.points[:1], closed=True)
+            continue
         curve_b = store.pop(id_b)
         points_a = curve_a.points if end_a == 1 else curve_a.points[::-1]
-        far_a = (
-            (id_a, 0 if end_a == 1 else 1),
-            curve_a.loose_start if end_a == 1 else curve_a.loose_end,
-        )
         points_b = curve_b.points if end_b == 0 else curve_b.points[::-1]
-        far_b = (
-            (id_b, 1 if end_b == 0 else 0),
-            curve_b.loose_end if end_b == 0 else curve_b.loose_start,
-        )
         if points_a[-1] == points_b[0]:
             points_b = points_b[1:]
-        merged = _OpenCurve(
-            points_a + points_b, loose_start=far_a[1], loose_end=far_b[1]
+        store[new_id] = _OpenCurve(
+            points_a + points_b,
+            loose_start=curve_a.loose_start if end_a == 1 else curve_a.loose_end,
+            loose_end=curve_b.loose_end if end_b == 0 else curve_b.loose_start,
         )
-        store[next_id] = merged
-        owner[far_a[0]] = (next_id, 0)
-        owner[far_b[0]] = (next_id, 1)
-        for original, (current_id, current_end) in list(owner.items()):
-            if current_id == id_a:
-                owner[original] = (next_id, 0)
-            elif current_id == id_b:
-                owner[original] = (next_id, 1)
-        next_id += 1
-    return [store[key] for key in sorted(store)]
+        ends[new_id] = (ends.pop(id_a)[1 - end_a], ends.pop(id_b)[1 - end_b])
+        home[ends[new_id][0]] = (new_id, 0)
+        home[ends[new_id][1]] = (new_id, 1)
+    return list(store.values())
 
 
 def _repair_nodes(curves: list[_OpenCurve], radius: float) -> list[_OpenCurve]:
@@ -651,8 +581,6 @@ def _repair_nodes(curves: list[_OpenCurve], radius: float) -> list[_OpenCurve]:
                 best = score
         if best is not None:
             joins.extend(best[3])
-    if not joins:
-        return curves
     return _join(curves, joins)
 
 
@@ -663,34 +591,14 @@ def trace_criminant(target, grid: GridSpec | None = None) -> PlaneCurveSet:
     order.  An empty zero set gives an empty curve set.
     """
     grid = grid if grid is not None else GridSpec()
-    tracer = _Tracer(as_planar_map(target), grid)
-    segments, junction_edges = tracer.march()
-    chains = _assemble(segments)
-    curves = []
-    for path, closed in chains:
-        if len(path) < 2:
-            continue
-        curves.append(
-            _OpenCurve(
-                [tracer.edge_point(edge) for edge in path],
-                closed=closed,
-                loose_start=(not closed) and path[0] in junction_edges,
-                loose_end=(not closed) and path[-1] in junction_edges,
-            )
-        )
+    values = np.asarray(as_planar_map(target).det(*grid.mesh()), dtype=float)
+    curves = _march(values, grid.xi_samples(), grid.t_samples())
     curves = _repair_nodes(curves, _SPLICE_RADIUS_CELLS * grid.cell_diagonal())
-    branches = []
-    for curve in curves:
-        if len(curve.points) < 2:
-            continue
-        branches.append(
-            Branch(
-                points=tuple(curve.points),
-                tag=f"branch-{len(branches)}",
-                closed=curve.closed,
-            )
-        )
-    return PlaneCurveSet(branches=tuple(branches))
+    branches = tuple(
+        Branch(points=tuple(curve.points), tag=f"branch-{k}", closed=curve.closed)
+        for k, curve in enumerate(curves)
+    )
+    return PlaneCurveSet(branches=branches)
 
 
 def envelope_curves(target, criminant: PlaneCurveSet) -> PlaneCurveSet:

@@ -161,6 +161,8 @@ class TruncatedPoly:
         Accepts '*' or whitespace between factors, an optional leading
         coefficient per term (default 1), and 'a - b' as well as 'a + -b'.
         """
+        if not isinstance(text, str):
+            raise TypeError(f"polynomial text must be a string, got {type(text).__name__}")
         variables = tuple(variables)
         text = text.strip()
         for alias, name in _VAR_ALIASES.items():

@@ -4,17 +4,23 @@ Every JSON payload the tool prints is validated against the schema
 shipped in the package, so the schemas cannot drift from the output.
 """
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tanfam.cli
 from tanfam.cli import (
     EXIT_CONTRADICTS,
     EXIT_INDETERMINATE,
     EXIT_MALFORMED,
     EXIT_OK,
+    MAX_GRID_RESOLUTION,
     main,
 )
 
@@ -93,6 +99,10 @@ def test_classify_not_tangential_is_a_verdict(capsys):
         '{"k0": "1"}',  # invariants incomplete
         "[1, 2]",  # not an object
         "no-such-file.json",
+        '{"u": 5}',  # polynomial texts must be strings
+        '{"u": null}',
+        '{"u": ["1 t^2"]}',
+        '{"k0": 0, "k1": 1, "alpha": 2, "higher": 5}',
     ],
 )
 def test_classify_malformed_inputs(capsys, raw):
@@ -100,6 +110,7 @@ def test_classify_malformed_inputs(capsys, raw):
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_classify_rejects_u_with_k0(capsys):
@@ -110,6 +121,32 @@ def test_classify_rejects_u_with_k0(capsys):
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err.startswith("error:") and "k0" in err
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats()
+    | st.text(max_size=12)
+    | st.sampled_from(["1 t^2", "1 xi t^2 + 3/2 t^3", "1/3 t^4", "1/5", "-2", "0", "t^"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FAMILY_INPUTS = st.dictionaries(
+    st.sampled_from(["u", "k0", "k1", "alpha", "higher", "extra"]), _JSON_VALUES, max_size=5
+)
+
+
+@settings(database=None, deadline=None, max_examples=80)
+@given(_FAMILY_INPUTS)
+def test_classify_fuzzed_input_exits_with_a_documented_code(data):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["classify", "--input", json.dumps(data)])
+    assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_INDETERMINATE, EXIT_CONTRADICTS)
 
 
 def test_classify_file_input(capsys, tmp_path):
@@ -278,6 +315,17 @@ def test_envelope_not_tangential_family_hints_components(capsys, tmp_path):
     )
     assert code == EXIT_MALFORMED
     assert "components" in err
+
+
+def test_envelope_non_string_component_is_malformed(capsys, tmp_path):
+    out_file = tmp_path / "env.svg"
+    code, out, err = run(
+        capsys, "envelope", "--input", '{"components": [1, 2]}', "--out", str(out_file)
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "string" in err
+    assert not out_file.exists()
 
 
 def test_envelope_rejects_component_list_of_wrong_length(capsys, tmp_path):
@@ -452,6 +500,30 @@ def test_grid_too_small(capsys, tmp_path):
     )
     assert code == EXIT_MALFORMED
     assert "--grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["envelope", "--input", '{"u": "1 t^2"}'],
+        ["sweep", "--a", "1/5"],
+    ],
+)
+def test_grid_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be evaluated past the grid budget")
+
+    monkeypatch.setattr(tanfam.cli, "count_cusps", never)
+    monkeypatch.setattr(tanfam.cli, "deformation_sweep", never)
+    out_path = tmp_path / "out"
+    code, out, err = run(
+        capsys, *argv, "--grid", str(MAX_GRID_RESOLUTION + 1), "--out", str(out_path)
+    )
+    assert MAX_GRID_RESOLUTION == 4096
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "--grid" in err and "4096" in err
+    assert not out_path.exists()
 
 
 def test_bad_domain(capsys, tmp_path):

@@ -56,6 +56,8 @@ def test_family_from_invariants_with_tail():
         family_from_invariants(0, 3, 2, higher="1 t^3")
     with pytest.raises(NotTangentialError):
         family_from_invariants(0, 3, 2, higher="1 xi t")
+    with pytest.raises(TypeError, match="string"):
+        family_from_invariants(0, 3, 2, higher=5)
 
 
 def test_family_from_mapping_variants():

@@ -42,6 +42,11 @@ T = TruncatedPoly.variable(SOURCE_VARS, "t", 8)
 
 TYPE_I = MapGerm((XI + T, T * T))
 TYPE_II = MapGerm((XI + T, T * T * XI))
+# det = xi^2 + t^2 - 1/4: the criminant is the circle of radius 1/2
+CIRCLE = MapGerm((XI, TruncatedPoly.from_text(SOURCE_VARS, "1/3 t^3 + 1 xi^2 t + -1/4 t", 8)))
+BEAKS_FRAME = apply_deformation(
+    double_umbrella_form(Fraction(1, 5), 1), DeformationParams(lam=0.1), MODE_BEAKS
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +226,37 @@ def test_trace_constant_det_is_empty():
     assert curves.branch_count == 0
     assert envelope_curves(shear, curves).branch_count == 0
     assert count_cusps(shear, GridSpec.square(1.0, 64)).count == 0
+
+
+def test_trace_closed_criminant_is_one_closed_branch():
+    grid = GridSpec.square(1.0, 101)
+    curves = trace_criminant(CIRCLE, grid)
+    assert curves.branch_count == 1
+    (branch,) = curves.branches
+    assert branch.closed
+    assert branch.points[0] == branch.points[-1]
+    pts = branch.as_array()
+    assert np.all(np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 0.5) <= grid.cell_diagonal())
+
+
+@pytest.mark.parametrize("target", [BEAKS_FRAME, TYPE_II, CIRCLE], ids=["beaks", "crossing", "circle"])
+def test_trace_vertices_are_scalar_edge_interpolants(target):
+    """Every vertex is the scalar interpolant s = va / (va - vb) on a crossed edge."""
+    grid = GridSpec(-0.73, 1.19, -0.61, 0.97, 61, 47)
+    values = as_planar_map(target).det(*grid.mesh()).tolist()
+    xi, t = grid.xi_samples().tolist(), grid.t_samples().tolist()
+    reference = set()
+    for i in range(len(xi)):
+        for j in range(len(t)):
+            va = values[i][j]
+            if i + 1 < len(xi) and (va >= 0.0) != (values[i + 1][j] >= 0.0):
+                s = va / (va - values[i + 1][j])
+                reference.add((xi[i] + s * (xi[i + 1] - xi[i]), t[j]))
+            if j + 1 < len(t) and (va >= 0.0) != (values[i][j + 1] >= 0.0):
+                s = va / (va - values[i][j + 1])
+                reference.add((xi[i], t[j] + s * (t[j + 1] - t[j])))
+    vertices = {p for branch in trace_criminant(target, grid).branches for p in branch.points}
+    assert vertices == reference
 
 
 def test_criminant_vertices_satisfy_residual_bound():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanfam.jets import (
     DEFAULT_CAP,
@@ -110,6 +112,27 @@ def test_canonical_text_order():
 def test_text_round_trip():
     q = p("-1/2 xi^2 t + 1 xi t^2 + 3 + -2 t")
     assert p(q.to_text()) == q
+
+
+@st.composite
+def jets(draw):
+    variables = draw(st.sampled_from([SOURCE_VARS, TARGET_VARS]))
+    cap = draw(st.integers(1, 6))
+    exponents = st.tuples(*[st.integers(0, cap)] * len(variables))
+    coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    return TruncatedPoly(variables, cap, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(jets())
+def test_text_round_trip_property(q):
+    assert TruncatedPoly.from_text(q.variables, q.to_text(), q.cap) == q
+
+
+@pytest.mark.parametrize("text", [5, None, 1.5, ["1 t"], {"t": 1}])
+def test_parse_rejects_non_strings(text):
+    with pytest.raises(TypeError, match="string"):
+        TruncatedPoly.from_text(SOURCE_VARS, text)
 
 
 def test_parse_accepts_variants():
