@@ -71,6 +71,11 @@ VERIFY_KINDS = ("ideal-block", "fold-sufficiency", "miniversal")
 # per grid sample at its peak, so the limit costs about 0.85 GB.
 MAX_GRID_RESOLUTION = 4096
 
+# Largest --cap accepted.  Time, not memory, limits it: verify at the
+# deepest order (cap - 1) took 2.2 s at cap 24, 7.9 s at cap 28 and
+# 27.5 s at cap 32 as a fresh process on a 2-core Xeon.
+MAX_CAP = 28
+
 _EXCLUDED_MODULI = (Fraction(-1), Fraction(0), Fraction(1, 3))
 
 
@@ -156,6 +161,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     resolution = args.grid if args.grid is not None else DEFAULT_RESOLUTION
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
+    if args.cap > MAX_CAP:
+        raise CLIError(f"--cap takes at most {MAX_CAP}")
     grid = _parse_domain(args.domain, resolution)
     data = _load_input(args.input) if getattr(args, "input", None) is not None else None
     return RunConfig(
@@ -272,6 +279,9 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
 def _envelope_target(config: RunConfig) -> MapGerm:
     data = config.data
     if "components" in data:
+        others = [key for key in data if key != "components"]
+        if others:
+            raise CLIError(f"'components' cannot be combined with {others}; pass one form")
         texts = data["components"]
         if not isinstance(texts, (list, tuple)) or len(texts) != 2:
             raise CLIError("'components' must list exactly two polynomial texts")

@@ -137,10 +137,16 @@ def family_from_invariants(
     return extract_invariants(u)
 
 
+_INVARIANT_KEYS = ("k0", "k1", "alpha", "higher")
+
+
 def family_from_mapping(data: dict, cap: int = DEFAULT_CAP) -> FamilyGerm:
     """Accept {"u": text} or {"k0": .., "k1": .., "alpha": .., "higher": text?}."""
+    unknown = [key for key in data if key != "u" and key not in _INVARIANT_KEYS]
+    if unknown:
+        raise ValueError(f"family input has unknown keys {unknown}")
     if "u" in data:
-        conflicting = [key for key in ("k0", "k1", "alpha", "higher") if key in data]
+        conflicting = [key for key in _INVARIANT_KEYS if key in data]
         if conflicting:
             raise ValueError(f"family input gives 'u' together with {conflicting}; pass one form")
         u = TruncatedPoly.from_text(SOURCE_VARS, data["u"], cap)

@@ -184,7 +184,22 @@ def _evaluate(c: np.ndarray, xi, t) -> np.ndarray:
 
     Scattered points (equal shapes) and open meshes (GridSpec.mesh) both
     work; per sample the operations are those of numpy's polyval2d.
+
+    Evaluation runs at the true degree: trailing rows and columns whose
+    entries are all +0.0 are dropped first (keeping at least one of each),
+    so a cubic stored at cap 8 runs over 4 coefficients per axis, not 9.
+    The result is bit-identical for finite samples.  On the padded array
+    the accumulator starts at +0.0 + x * 0 = +0.0 and each further +0.0
+    coefficient gives +0.0 + (+-0.0) = +0.0; the first kept coefficient
+    then enters as c + (+0.0) * x, the same value as the trimmed start
+    c + x * 0.  numpy's start c[-1] + x * 0 also keeps the broadcast shape
+    when a single row or column is left.  A -0.0 entry counts as nonzero,
+    since it can turn the accumulator negative.
     """
+    kept = (c != 0) | np.signbit(c)
+    rows = np.flatnonzero(kept.any(axis=1))
+    cols = np.flatnonzero(kept.any(axis=0))
+    c = c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
     return polyval(t, polyval(xi, c), tensor=False)
 
 
@@ -780,9 +795,8 @@ def legendrian_lift(
     planar = as_planar_map(target)
     mesh_xi, mesh_t = grid.mesh()
     x, y = planar(mesh_xi, mesh_t)
-    _, d_x, _, d_y = planar.jacobian(mesh_xi, mesh_t)
-    d_x = np.asarray(d_x, dtype=float)
-    d_y = np.asarray(d_y, dtype=float)
+    d_x = _evaluate(planar._d1_t, mesh_xi, mesh_t)
+    d_y = _evaluate(planar._d2_t, mesh_xi, mesh_t)
     invalid = (d_x == 0.0) & (d_y == 0.0)
     reciprocal = (np.abs(d_x) < epsilon * np.abs(d_y)) & ~invalid
     slope = np.zeros_like(d_x)

@@ -20,6 +20,7 @@ from tanfam.cli import (
     EXIT_INDETERMINATE,
     EXIT_MALFORMED,
     EXIT_OK,
+    MAX_CAP,
     MAX_GRID_RESOLUTION,
     main,
 )
@@ -121,6 +122,20 @@ def test_classify_rejects_u_with_k0(capsys):
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err.startswith("error:") and "k0" in err
+
+
+def test_classify_rejects_unknown_family_key(capsys):
+    # without the misspelt tail the family still classifies, so a dropped
+    # key would go unnoticed
+    code, out, err = run(
+        capsys,
+        "classify",
+        "--input",
+        '{"k0": "0", "k1": "1", "alpha": "1/2", "hihger": "1/3 t^4"}',
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "hihger" in err
 
 
 _JSON_LEAVES = (
@@ -328,6 +343,27 @@ def test_envelope_non_string_component_is_malformed(capsys, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "extra", ['"u": "1 t"', '"k0": "0"', '"higher": "1 t^4"', '"note": "x"']
+)
+def test_envelope_rejects_components_with_other_keys(capsys, tmp_path, extra):
+    # before, the components were traced and the other key dropped silently
+    out_file = tmp_path / "env.svg"
+    code, out, err = run(
+        capsys,
+        "envelope",
+        "--input",
+        '{"components": ["1 xi + 1 t", "1 t^2"], %s}' % extra,
+        "--out",
+        str(out_file),
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "components" in err
+    assert extra.split('"')[1] in err
+    assert not out_file.exists()
+
+
 def test_envelope_rejects_component_list_of_wrong_length(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -524,6 +560,48 @@ def test_grid_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
     assert out == ""
     assert err.startswith("error:") and "--grid" in err and "4096" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--input", '{"k0": "0", "k1": "3", "alpha": "2"}'],
+        ["verify", "--kind", "miniversal", "--a", "1/5"],
+        ["envelope", "--input", '{"u": "1 t^2"}'],
+        ["sweep", "--a", "1/5"],
+        ["selfcheck"],
+    ],
+)
+def test_cap_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be built past the cap budget")
+
+    for name in (
+        "family_from_mapping",
+        "build_extended_tangent_space",
+        "build_reduced_tangent_space",
+        "miniversality_check",
+        "double_umbrella_form",
+        "count_cusps",
+        "deformation_sweep",
+        "run_all",
+    ):
+        monkeypatch.setattr(tanfam.cli, name, never)
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--cap", str(MAX_CAP + 1), "--out", str(out_path))
+    assert MAX_CAP == 28
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "--cap" in err and "28" in err
+    assert not out_path.exists()
+
+
+def test_cap_at_budget_is_accepted(capsys):
+    code, payload, _ = run_json(
+        capsys, "classify", "--input", '{"u": "1 t^2"}', "--cap", str(MAX_CAP)
+    )
+    assert code == EXIT_OK
+    assert payload["variant"] == "TypeI"
 
 
 def test_bad_domain(capsys, tmp_path):

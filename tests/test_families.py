@@ -75,6 +75,20 @@ def test_family_from_mapping_rejects_u_with_invariant_keys(extra):
         family_from_mapping({"u": "1 xi t^2 + 3/2 t^3", extra: value})
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"k0": "0", "k1": "1", "alpha": "1/2", "hihger": "1/3 t^4"}, "hihger"),
+        ({"u": "1 xi t^2", "components": ["1 xi", "1 t"]}, "components"),
+        ({"k0": "0", "k1": "1", "alpha": "1/2", "": "0"}, ""),
+    ],
+)
+def test_family_from_mapping_rejects_unknown_keys(data, key):
+    with pytest.raises(ValueError, match="unknown keys") as info:
+        family_from_mapping(data)
+    assert repr(key) in str(info.value)
+
+
 def test_invariant_a_values():
     assert invariant_a(extract_invariants(u("1 t^2 xi"))) == Fraction(-1)
     assert invariant_a(FamilyInvariants(Fraction(0), Fraction(1), Fraction(1, 2))) == Fraction(1, 4)

@@ -137,6 +137,67 @@ def test_planar_map_on_open_mesh_matches_dense_polyval2d():
         assert np.array_equal(planar.det(open_xi, open_t), j11 * j22 - j12 * j21)
 
 
+def _padded(c, rows, cols):
+    """c in the top-left corner of a larger array of +0.0."""
+    out = np.zeros((c.shape[0] + rows, c.shape[1] + cols))
+    out[: c.shape[0], : c.shape[1]] = c
+    return out
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _random_coefficients(rng, shape):
+    c = rng.normal(size=shape)
+    c[rng.random(shape) < 0.3] = 0.0
+    return c
+
+
+_TRIM_RNG = np.random.default_rng(29)
+_TRIM_CASES = {
+    "random": (_random_coefficients(_TRIM_RNG, (4, 3)), _random_coefficients(_TRIM_RNG, (3, 4))),
+    "zero-1x1": (np.zeros((1, 1)), np.zeros((1, 1))),
+    "t-constant": (_TRIM_RNG.normal(size=(4, 1)), _TRIM_RNG.normal(size=(2, 1))),
+    "xi-constant": (_TRIM_RNG.normal(size=(1, 4)), _TRIM_RNG.normal(size=(1, 2))),
+    "negative-zeros": (np.full((2, 1), -0.0), np.array([[0.0, 1.5, -0.0], [-0.0, 0.0, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIM_CASES))
+@pytest.mark.parametrize("pad", [(5, 6), (0, 4), (3, 0)])
+def test_zero_padding_leaves_evaluation_bit_identical(case, pad):
+    """Padded and compact coefficients give the same bits and shapes.
+
+    The padded values must also equal a full Horner pass over every
+    padded coefficient, the evaluation before trailing zeros were trimmed.
+    """
+    c1, c2 = _TRIM_CASES[case]
+    compact = PlanarMap(c1, c2)
+    padded = PlanarMap(_padded(c1, *pad), _padded(c2, *pad))
+    assert padded.c1.shape == (c1.shape[0] + pad[0], c1.shape[1] + pad[1])
+    grid = GridSpec(-1.3, 0.9, -0.8, 1.1, resolution_xi=29, resolution_t=13)
+    rng = np.random.default_rng(3)
+    scattered = [
+        np.concatenate([rng.uniform(-1.5, 1.5, 40), [0.0, -0.0, 0.0, -0.0]]),
+        np.concatenate([rng.uniform(-1.5, 1.5, 40), [0.0, 0.0, -0.0, -0.0]]),
+    ]
+    polyval = np.polynomial.polynomial.polyval
+    for xi, t in (grid.mesh(), GridSpec.square(1.0, 21).mesh(), scattered):
+        for got, c in zip(padded(xi, t), (padded.c1, padded.c2)):
+            _assert_same_bits(got, polyval(t, polyval(xi, c), tensor=False))
+        for got, want in zip(padded(xi, t), compact(xi, t)):
+            _assert_same_bits(got, want)
+        for got, want in zip(padded.jacobian(xi, t), compact.jacobian(xi, t)):
+            _assert_same_bits(got, want)
+        _assert_same_bits(padded.det(xi, t), compact.det(xi, t))
+    lift_padded, lift_compact = legendrian_lift(padded, grid), legendrian_lift(compact, grid)
+    for name in ("x", "y", "slope", "chart", "invalid", "d_x", "d_y"):
+        _assert_same_bits(getattr(lift_padded, name), getattr(lift_compact, name))
+
+
 # ---------------------------------------------------------------------------
 # Jacobian determinants
 
