@@ -14,6 +14,11 @@ Exit codes separate four situations:
 Flag misuse (unknown flags, missing required flags) keeps argparse's
 own exit status; only content-level problems map to exit 1.
 
+Every flag is resolved and checked once, before any command runs:
+argparse holds each default it can express, and one check fills in the
+rest (verify's per-kind working order, the output path) and rejects
+out-of-range values.  The commands then read the checked namespace.
+
 Inputs are JSON, passed either as a file path or inline (anything
 starting with "{").  All rational parameters are exact: "1/5", "-0.5"
 and integers are accepted, binary floats never sneak into the algebra.
@@ -24,13 +29,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from tanfam.emit import emit_svg, emit_sweep
 from tanfam.families import (
     NotTangentialError,
+    SingularityLabel,
     classify,
     double_umbrella_form,
     family_from_mapping,
@@ -42,7 +47,6 @@ from tanfam.geometry import (
     MODE_BEAKS,
     MODE_VERSAL,
     count_cusps,
-    default_sweep_lambdas,
     deformation_sweep,
     envelope_curves,
     fit_cubic_coefficient,
@@ -78,40 +82,13 @@ MAX_CAP = 28
 
 _EXCLUDED_MODULI = (Fraction(-1), Fraction(0), Fraction(1, 3))
 
+# Commands that write their own artefacts to --out and print the payload;
+# the others write the payload to --out when it is given.
+_ARTEFACT_OUT = {"envelope": "envelope.svg", "sweep": "sweep-out"}
+
 
 class CLIError(Exception):
     """Content-level problem with the invocation; maps to exit 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, resolved and validated."""
-
-    command: str
-    data: dict | None
-    cap: int
-    order: int | None
-    grid: GridSpec
-    out: Path | None
-    seed: int
-    fmt: str
-    kind: str | None = None
-    a: Fraction | None = None
-    b: Fraction | None = None
-    mode: str = MODE_BEAKS
-    lambdas: tuple[float, ...] | None = None
-    mu1: float = 0.0
-    mu2: float = 0.0
-    rounds: int = DEFAULT_ROUNDS
-    samples: int = DEFAULT_ORACLE_SAMPLES
-
-    def __post_init__(self) -> None:
-        if self.cap < 2:
-            raise CLIError("--cap must be at least 2")
-        if self.order is not None and not 1 <= self.order <= self.cap - 1:
-            raise CLIError(
-                f"--order must lie in 1..{self.cap - 1} (one below the cap)"
-            )
 
 
 def _parse_domain(text: str | None, resolution: int) -> GridSpec:
@@ -129,9 +106,7 @@ def _parse_domain(text: str | None, resolution: int) -> GridSpec:
     raise CLIError("--domain takes a half-width or 'ximin,ximax,tmin,tmax'")
 
 
-def _parse_lambdas(text: str | None) -> tuple[float, ...] | None:
-    if text is None:
-        return None
+def _parse_lambdas(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(p) for p in text.split(",") if p.strip() != "")
     except ValueError as exc:
@@ -141,9 +116,7 @@ def _parse_lambdas(text: str | None) -> tuple[float, ...] | None:
     return values
 
 
-def _load_input(text: str | None) -> dict:
-    if text is None:
-        raise CLIError("this command needs --input (a JSON file path or inline JSON)")
+def _load_input(text: str) -> dict:
     stripped = text.strip()
     try:
         if stripped.startswith("{"):
@@ -157,33 +130,31 @@ def _load_input(text: str | None) -> dict:
     return data
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    resolution = args.grid if args.grid is not None else DEFAULT_RESOLUTION
-    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+def _check_args(args: argparse.Namespace) -> None:
+    """Resolve and check every setting in place, before any command runs.
+
+    Afterwards ``grid`` is a GridSpec, ``data`` holds the parsed --input,
+    ``lambdas`` is a tuple or None (the library default), ``order`` is
+    the working order (None lets classify use cap - 1) and ``out`` is a
+    Path, or None where the payload goes to stdout.
+    """
+    if not 2 <= args.grid <= MAX_GRID_RESOLUTION:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
     if args.cap > MAX_CAP:
         raise CLIError(f"--cap takes at most {MAX_CAP}")
-    grid = _parse_domain(args.domain, resolution)
-    data = _load_input(args.input) if getattr(args, "input", None) is not None else None
-    return RunConfig(
-        command=args.command,
-        data=data,
-        cap=args.cap,
-        order=args.order,
-        grid=grid,
-        out=None if args.out is None else Path(args.out),
-        seed=args.seed,
-        fmt=args.fmt,
-        kind=getattr(args, "kind", None),
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        mode=getattr(args, "mode", MODE_BEAKS),
-        lambdas=_parse_lambdas(getattr(args, "lambdas", None)),
-        mu1=getattr(args, "mu1", 0.0),
-        mu2=getattr(args, "mu2", 0.0),
-        rounds=getattr(args, "rounds", DEFAULT_ROUNDS),
-        samples=getattr(args, "samples", DEFAULT_ORACLE_SAMPLES),
-    )
+    args.grid = _parse_domain(args.domain, args.grid)
+    if hasattr(args, "input"):
+        args.data = _load_input(args.input)
+    if getattr(args, "lambdas", None) is not None:
+        args.lambdas = _parse_lambdas(args.lambdas)
+    if args.cap < 2:
+        raise CLIError("--cap must be at least 2")
+    if args.command == "verify" and args.order is None:
+        args.order = 4 if args.kind == "fold-sufficiency" else 6
+    if args.order is not None and not 1 <= args.order <= args.cap - 1:
+        raise CLIError(f"--order must lie in 1..{args.cap - 1} (one below the cap)")
+    out = args.out if args.out is not None else _ARTEFACT_OUT.get(args.command)
+    args.out = None if out is None else Path(out)
 
 
 # ----------------------------------------------------------------------
@@ -191,83 +162,62 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
-def cmd_classify(config: RunConfig) -> tuple[dict, int]:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     """Sort a family input into its singularity class."""
     try:
-        family = family_from_mapping(config.data, config.cap)
+        family = family_from_mapping(args.data, args.cap)
     except NotTangentialError as exc:
         # A definite, correct verdict about the input, not a usage error:
         # the function describes a family that is not tangential.
-        payload = {
-            "variant": "NotTangential",
-            "a": None,
-            "projection_form_applicable": None,
-            "branch": None,
-            "order": None,
-            "parameterization": None,
-            "reason": str(exc),
-        }
-        return payload, EXIT_OK
+        return {**SingularityLabel("NotTangential").to_json(), "reason": str(exc)}, EXIT_OK
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CLIError(f"bad family input: {exc}") from exc
-    label = classify(family, config.order)
-    payload = label.to_json()
-    payload["reason"] = None
+    label = classify(family, args.order)
     code = EXIT_INDETERMINATE if label.variant == "IndeterminateAtOrder" else EXIT_OK
-    return payload, code
+    return {**label.to_json(), "reason": None}, code
 
 
-def _require_modulus(config: RunConfig) -> Fraction:
-    if config.a is None:
-        raise CLIError(f"verify kind {config.kind!r} needs --a")
-    return config.a
+def _normal_form(args: argparse.Namespace, validate: bool) -> MapGerm:
+    try:
+        return double_umbrella_form(args.a, args.b, args.cap, validate=validate)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
 
-def cmd_verify(config: RunConfig) -> tuple[dict, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     """Run one tangent-space check against its documented prediction.
 
     The exit code reports agreement with the prediction, not the raw
     outcome: a check that fails where failure is predicted exits 0, and
     a check that succeeds where failure is predicted exits 3.
     """
-    cap = config.cap
-    if config.kind == "fold-sufficiency":
-        order = config.order if config.order is not None else 4
-        basis = build_reduced_tangent_space(fold_form(cap), order)
+    if args.kind == "fold-sufficiency":
+        basis = build_reduced_tangent_space(fold_form(args.cap), args.order)
         check = contains_ideal_block(basis, 2, 3, 2)
-        predicted, measured = True, check.holds
+        predicted, measured, detail = True, check.holds, check.to_json()
         params: dict = {}
-        detail = check.to_json()
-    elif config.kind == "ideal-block":
-        a = _require_modulus(config)
-        b = config.b if config.b is not None else Fraction(1)
-        order = config.order if config.order is not None else 6
-        germ = double_umbrella_form(a, b, cap, validate=False)
-        basis = build_extended_tangent_space(germ, order)
-        check = contains_ideal_block(basis, 3, 5, 4)
-        predicted, measured = a not in _EXCLUDED_MODULI, check.holds
-        params = {"a": str(a), "b": str(b)}
-        detail = check.to_json()
-    elif config.kind == "miniversal":
-        a = _require_modulus(config)
-        b = config.b if config.b is not None else Fraction(1)
-        order = config.order if config.order is not None else 6
-        germ = double_umbrella_form(a, b, cap, validate=False)
-        t = TruncatedPoly.variable(SOURCE_VARS, "t", cap)
-        zero = TruncatedPoly.zero(SOURCE_VARS, cap)
-        bump = t * t + t**3
-        complement = [(zero, t, zero), (bump, zero, zero), (zero, bump, zero)]
-        verdict = miniversality_check(germ, complement, order)
-        predicted, measured = b != 0, bool(verdict["spans"])
-        params = {"a": str(a), "b": str(b)}
-        detail = verdict
     else:
-        raise CLIError(f"unknown verify kind {config.kind!r}")
+        if args.a is None:
+            raise CLIError(f"verify kind {args.kind!r} needs --a")
+        germ = _normal_form(args, validate=False)
+        params = {"a": str(args.a), "b": str(args.b)}
+        if args.kind == "ideal-block":
+            basis = build_extended_tangent_space(germ, args.order)
+            check = contains_ideal_block(basis, 3, 5, 4)
+            predicted, measured = args.a not in _EXCLUDED_MODULI, check.holds
+            detail = check.to_json()
+        else:
+            t = TruncatedPoly.variable(SOURCE_VARS, "t", args.cap)
+            zero = TruncatedPoly.zero(SOURCE_VARS, args.cap)
+            bump = t * t + t**3
+            complement = [(zero, t, zero), (bump, zero, zero), (zero, bump, zero)]
+            detail = miniversality_check(germ, complement, args.order)
+            predicted, measured = args.b != 0, bool(detail["spans"])
     agrees = predicted == measured
     payload = {
-        "kind": config.kind,
+        "kind": args.kind,
         "params": params,
-        "order": order,
+        "order": args.order,
         "predicted": predicted,
         "measured": measured,
         "agrees": agrees,
@@ -276,8 +226,8 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK if agrees else EXIT_CONTRADICTS
 
 
-def _envelope_target(config: RunConfig) -> MapGerm:
-    data = config.data
+def _envelope_target(args: argparse.Namespace) -> MapGerm:
+    data = args.data
     if "components" in data:
         others = [key for key in data if key != "components"]
         if others:
@@ -287,28 +237,28 @@ def _envelope_target(config: RunConfig) -> MapGerm:
             raise CLIError("'components' must list exactly two polynomial texts")
         try:
             comps = tuple(
-                TruncatedPoly.from_text(SOURCE_VARS, text, config.cap) for text in texts
+                TruncatedPoly.from_text(SOURCE_VARS, text, args.cap) for text in texts
             )
             return MapGerm(comps)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise CLIError(f"bad component: {exc}") from exc
     try:
-        family = family_from_mapping(data, config.cap)
+        family = family_from_mapping(data, args.cap)
     except NotTangentialError as exc:
         raise CLIError(
             f"not a tangential family ({exc}); pass raw 'components' instead"
         ) from exc
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CLIError(f"bad family input: {exc}") from exc
-    xi = TruncatedPoly.variable(SOURCE_VARS, "xi", config.cap)
-    t = TruncatedPoly.variable(SOURCE_VARS, "t", config.cap)
+    xi = TruncatedPoly.variable(SOURCE_VARS, "xi", args.cap)
+    t = TruncatedPoly.variable(SOURCE_VARS, "t", args.cap)
     return MapGerm((xi + t, family.u))
 
 
-def cmd_envelope(config: RunConfig) -> tuple[dict, int]:
+def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
     """Trace the criminant, map it to the envelope, emit the picture."""
-    target = _envelope_target(config)
-    report = count_cusps(target, config.grid)
+    target = _envelope_target(args)
+    report = count_cusps(target, args.grid)
     envelope = envelope_curves(target, report.curves)
     fits = []
     for branch in envelope.branches:
@@ -317,55 +267,48 @@ def cmd_envelope(config: RunConfig) -> tuple[dict, int]:
         except ValueError:
             c = None
         fits.append({"tag": branch.tag, "c": c})
-    out = config.out if config.out is not None else Path("envelope.svg")
-    emit_svg(envelope, out)
+    emit_svg(envelope, args.out)
     payload = {
         "branches": envelope.branch_count,
         "cusps": report.count,
         "fits": fits,
         "note": None if envelope.branch_count else "no criminant in the window",
-        "svg": str(out),
-        "grid": config.grid.to_json(),
+        "svg": str(args.out),
+        "grid": args.grid.to_json(),
     }
     return payload, EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> tuple[dict, int]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     """Deformation sweep of the two-parameter form: frames plus manifest."""
-    b = config.b if config.b is not None else Fraction(1)
-    try:
-        germ = double_umbrella_form(config.a, b, config.cap)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    lambdas = config.lambdas if config.lambdas is not None else default_sweep_lambdas()
-    if config.mode == MODE_BEAKS and (config.mu1 != 0.0 or config.mu2 != 0.0):
+    germ = _normal_form(args, validate=True)
+    if args.mode == MODE_BEAKS and (args.mu1 != 0.0 or args.mu2 != 0.0):
         raise CLIError("--mu1/--mu2 apply in versal mode only")
     try:
         frames = deformation_sweep(
             germ,
-            mode=config.mode,
-            lambdas=lambdas,
-            grid=config.grid,
-            mu1=config.mu1,
-            mu2=config.mu2,
+            mode=args.mode,
+            lambdas=args.lambdas,
+            grid=args.grid,
+            mu1=args.mu1,
+            mu2=args.mu2,
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    out = config.out if config.out is not None else Path("sweep-out")
-    manifest = emit_sweep(frames, out)
+    manifest = emit_sweep(frames, args.out)
     payload = {
-        "directory": str(out),
+        "directory": str(args.out),
         "cusp_counts": [frame.cusp_count for frame in frames],
         "manifest": manifest,
     }
     return payload, EXIT_OK
 
 
-def cmd_selfcheck(config: RunConfig) -> tuple[dict, int]:
+def cmd_selfcheck(args: argparse.Namespace) -> tuple[dict, int]:
     """Seeded property suites; any recorded violation exits 3."""
-    if config.rounds < 1 or config.samples < 1:
+    if args.rounds < 1 or args.samples < 1:
         raise CLIError("--rounds and --samples must be at least 1")
-    results = run_all(config.seed, config.rounds, config.samples, config.cap)
+    results = run_all(args.seed, args.rounds, args.samples, args.cap)
     ok = all(result.ok for result in results)
     payload = {"ok": ok, "results": [result.to_json() for result in results]}
     return payload, EXIT_OK if ok else EXIT_CONTRADICTS
@@ -426,11 +369,23 @@ def _render(payload: dict, fmt: str) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _add_moduli(p: argparse.ArgumentParser, a_required: bool) -> None:
+    p.add_argument(
+        "--a", type=Fraction, required=a_required,
+        help="modulus a (exact, e.g. 1/5; write --a=-1/2 for negative values)",
+    )
+    p.add_argument(
+        "--b", type=Fraction, default=Fraction(1), help="parameter b (exact, default 1)"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="jet truncation cap")
     common.add_argument("--order", type=int, default=None, help="working order (max cap-1)")
-    common.add_argument("--grid", type=int, default=None, help="samples per axis")
+    common.add_argument(
+        "--grid", type=int, default=DEFAULT_RESOLUTION, help="samples per axis"
+    )
     common.add_argument(
         "--domain", default=None, help="half-width, or 'ximin,ximax,tmin,tmax'"
     )
@@ -450,21 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="tangent-space checks vs predictions")
     p.add_argument("--kind", required=True, choices=VERIFY_KINDS)
-    p.add_argument(
-        "--a", type=Fraction, default=None,
-        help="modulus a (exact, e.g. 1/5; write --a=-1/2 for negative values)",
-    )
-    p.add_argument("--b", type=Fraction, default=None, help="parameter b (exact)")
+    _add_moduli(p, a_required=False)
 
     p = sub.add_parser("envelope", parents=[common], help="trace criminant and envelope")
     p.add_argument("--input", required=True, help="JSON file path or inline JSON")
 
     p = sub.add_parser("sweep", parents=[common], help="deformation sweep with manifest")
-    p.add_argument(
-        "--a", type=Fraction, required=True,
-        help="modulus a (exact; write --a=-1/2 for negative values)",
-    )
-    p.add_argument("--b", type=Fraction, default=None, help="parameter b (exact, default 1)")
+    _add_moduli(p, a_required=True)
     p.add_argument("--mode", choices=(MODE_BEAKS, MODE_VERSAL), default=MODE_BEAKS)
     p.add_argument(
         "--lambdas", default=None,
@@ -483,20 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        payload, code = COMMANDS[config.command](config)
+        _check_args(args)
+        payload, code = COMMANDS[args.command](args)
+        rendered = _render(payload, args.fmt)
+        if args.out is not None and args.command not in _ARTEFACT_OUT:
+            args.out.write_text(rendered, encoding="utf-8")
+        else:
+            sys.stdout.write(rendered)
     except (CLIError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    rendered = _render(payload, config.fmt)
-    if config.out is not None and config.command in ("classify", "verify", "selfcheck"):
-        try:
-            config.out.write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
-    else:
-        sys.stdout.write(rendered)
     return code
 
 

@@ -56,7 +56,7 @@ from tanfam.jets import (
     as_fraction,
     compose,
 )
-from tanfam.tangent import KIND_FULL, build_extended_tangent_space
+from tanfam.tangent import KIND_FULL, build_extended_tangent_space, resolve_order
 
 
 class NotTangentialError(ValueError):
@@ -333,8 +333,8 @@ def classify(
     H and A branches, probed for their index; any other value gives the
     double umbrella with the sign of a.
     """
-    order = order if order is not None else g.cap - 1
     germ = legendrian_parameterization(g)
+    order = resolve_order(germ, order)
     if g.k0 != 0:
         return SingularityLabel(variant="TypeI", germ=germ)
     if g.k1 == 0 or g.k1 == g.alpha:
@@ -373,8 +373,14 @@ def double_umbrella_form(
 
     The projection normal form exists for a outside {-1, 0} with a < 1/3;
     pass validate=False to build the map at an excluded a on purpose, for
-    example to exhibit how the tangent-space checks fail there.
+    example to exhibit how the tangent-space checks fail there.  The cap
+    must be at least 3 whatever validate says: a lower cap would drop the
+    cubic terms and leave a different map.
     """
+    if cap < 3:
+        raise ValueError(
+            f"the double umbrella form needs cap >= 3 (its cubic terms), got {cap}"
+        )
     a = as_fraction(a)
     b = as_fraction(b)
     if validate:

@@ -27,7 +27,6 @@ must cap their working degree at N-1.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -160,6 +159,8 @@ class TruncatedPoly:
 
         Accepts '*' or whitespace between factors, an optional leading
         coefficient per term (default 1), and 'a - b' as well as 'a + -b'.
+        A term of total degree above the cap raises ValueError rather than
+        being truncated away.
         """
         if not isinstance(text, str):
             raise TypeError(f"polynomial text must be a string, got {type(text).__name__}")
@@ -173,6 +174,10 @@ class TruncatedPoly:
         for term in _split_terms(text):
             coeff, exponents = _parse_term(term, variables)
             exponents = tuple(exponents)
+            if sum(exponents) > cap:
+                raise ValueError(
+                    f"term {term!r} has degree {sum(exponents)}, above the cap {cap}"
+                )
             table[exponents] = table.get(exponents, Fraction(0)) + coeff
         return cls(variables, cap, table)
 
@@ -455,9 +460,6 @@ class MapGerm:
 
 
 # -- text parsing helpers ---------------------------------------------------
-
-_TERM_RE = re.compile(r"\s*([+-])?\s*")
-
 
 def _split_terms(text: str) -> list[str]:
     # Rewrite every additive +/- into '+' followed by a signed term, then split.

@@ -62,7 +62,8 @@ def _as_map_germ(f: "MapGerm | Sequence[TruncatedPoly]") -> MapGerm:
     return germ
 
 
-def _resolve_order(germ: MapGerm, order: int | None) -> int:
+def resolve_order(germ: MapGerm, order: int | None) -> int:
+    """The working order for germ: cap - 1 by default, and 1..cap - 1 when given."""
     cap = germ.cap
     if order is None:
         order = cap - 1
@@ -154,7 +155,7 @@ def extended_generators(
 ) -> Iterator[tuple[str, JetTriple]]:
     """Generator rows of the extended tangent space, with provenance tags."""
     germ = _as_map_germ(f)
-    order = _resolve_order(germ, order)
+    order = resolve_order(germ, order)
     if kind not in (KIND_FIBERED, KIND_FULL):
         raise ValueError(f"kind must be {KIND_FIBERED!r} or {KIND_FULL!r}, got {kind!r}")
     planar = monomial_basis(2, 0, order)
@@ -174,7 +175,7 @@ def reduced_generators(
 ) -> Iterator[tuple[str, JetTriple]]:
     """Generator rows of the reduced tangent space, with provenance tags."""
     germ = _as_map_germ(f)
-    order = _resolve_order(germ, order)
+    order = resolve_order(germ, order)
     if source_min_degree < 1:
         raise ValueError("source_min_degree must be >= 1 for a reduced space")
     planar_sq = monomial_basis(2, 2, order)
@@ -316,7 +317,7 @@ def build_extended_tangent_space(
     """Extended tangent space: source multiples of the partials plus full
     componentwise pullbacks (fibered in slots 1-2 unless kind is "A")."""
     germ = _as_map_germ(f)
-    order = _resolve_order(germ, order)
+    order = resolve_order(germ, order)
     rows = extended_generators(germ, order, kind)
     return _assemble(f"{kind}-extended", germ, order, rows)
 
@@ -328,7 +329,7 @@ def build_reduced_tangent_space(
 ) -> TangentSpaceBasis:
     """Reduced tangent space: positive-order source part plus the M* module."""
     germ = _as_map_germ(f)
-    order = _resolve_order(germ, order)
+    order = resolve_order(germ, order)
     rows = reduced_generators(germ, order, source_min_degree)
     config = {"source_min_degree": source_min_degree}
     return _assemble(f"{KIND_FIBERED}-reduced", germ, order, rows, config)
@@ -405,7 +406,7 @@ def jet_sufficiency_step(
     slots are unconstrained and default to the working order.
     """
     germ = _as_map_germ(f)
-    order = _resolve_order(germ, order)
+    order = resolve_order(germ, order)
     triple = _coerce_triple(perturbation, germ)
     if degrees is None:
         inferred: list[int] = []

@@ -246,6 +246,36 @@ def test_verify_miniversal_stated_complement_contradiction(capsys):
     check_schema(payload, "verify")
 
 
+@pytest.mark.parametrize(
+    "argv, default_order",
+    [
+        (["--kind", "fold-sufficiency"], 4),
+        (["--kind", "ideal-block", "--a", "1/5"], 6),
+        (["--kind", "miniversal", "--a", "1/5"], 6),
+    ],
+)
+def test_verify_default_order_must_fit_under_the_cap(capsys, monkeypatch, argv, default_order):
+    # the per-kind default order is held to the same 1..cap-1 rule as --order
+    def never(*args, **kwargs):
+        raise AssertionError("no tangent space may be built past the order check")
+
+    for name in (
+        "build_extended_tangent_space",
+        "build_reduced_tangent_space",
+        "miniversality_check",
+    ):
+        monkeypatch.setattr(tanfam.cli, name, never)
+    code, out, err = run(capsys, "verify", *argv, "--cap", str(default_order))
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "--order" in err
+    assert len(err.strip().splitlines()) == 1
+    monkeypatch.undo()
+    code, payload, _ = run_json(capsys, "verify", *argv, "--cap", str(default_order + 1))
+    assert code in (EXIT_OK, EXIT_CONTRADICTS)
+    assert payload["order"] == default_order
+
+
 def test_verify_needs_modulus(capsys):
     code, _, err = run(capsys, "verify", "--kind", "ideal-block")
     assert code == EXIT_MALFORMED
@@ -593,6 +623,43 @@ def test_cap_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err.startswith("error:") and "--cap" in err and "28" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--a", "1/5", "--cap", "2", "--lambdas=-0.1,0,0.1", "--grid", "16"],
+        ["verify", "--kind", "ideal-block", "--a", "1/5", "--cap", "2", "--order", "1"],
+    ],
+)
+def test_normal_form_below_cap_three_is_malformed(capsys, tmp_path, argv):
+    # cap 2 would drop the cubic terms and analyse a different map
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "cap >= 3" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--input", '{"u": "1 t^2 + 1 t^99"}'],
+        ["envelope", "--input", '{"u": "1 xi t^2"}', "--cap", "2", "--grid", "16"],
+        ["envelope", "--input", '{"components": ["1 xi + 1 t", "1 t^9"]}', "--grid", "16"],
+    ],
+)
+def test_terms_above_the_cap_are_malformed(capsys, tmp_path, argv):
+    # before, the term was truncated away and the rest analysed without notice
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "above the cap" in err
+    assert len(err.strip().splitlines()) == 1
     assert not out_path.exists()
 
 

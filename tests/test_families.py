@@ -190,6 +190,12 @@ def test_classify_without_probing():
     assert label.variant == "HBranch" and label.branch is None
 
 
+@pytest.mark.parametrize("order", [0, 8, 50])
+def test_classify_rejects_order_outside_the_window(order):
+    with pytest.raises(ValueError, match=r"1\.\.7"):
+        classify(family_from_invariants(0, 1, Fraction(1, 2)), order=order)
+
+
 def test_label_to_json_shape():
     payload = classify(family_from_invariants(0, 1, Fraction(1, 2))).to_json()
     assert payload["variant"] == "A1Plus"
@@ -301,3 +307,10 @@ def test_double_umbrella_form_validation():
         with pytest.raises(ValueError):
             double_umbrella_form(a, 1)
         assert double_umbrella_form(a, 1, validate=False).arity == 3
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_double_umbrella_form_needs_its_cubic_terms(validate):
+    with pytest.raises(ValueError, match="cap >= 3"):
+        double_umbrella_form(Fraction(1, 5), 1, cap=2, validate=validate)
+    assert double_umbrella_form(Fraction(1, 5), 1, cap=3, validate=validate).cap == 3

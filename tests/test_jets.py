@@ -1,5 +1,6 @@
 """Jet arithmetic: exact coefficients, degree caps, parsing, composition."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,17 @@ def test_parse_rejects_garbage():
         p("xi^-1")
     with pytest.raises(ZeroDivisionError):
         p("1/0 t^2")
+
+
+@pytest.mark.parametrize(
+    "text, term, cap",
+    [("1 xi t^2", "1 xi t^2", 2), ("1 t^2 + 1 t^99", "1 t^99", 8), ("1 t + -2 t^4", "-2 t^4", 3)],
+)
+def test_parse_rejects_terms_above_the_cap(text, term, cap):
+    # the constructor truncates, but text naming a term past the cap is an input error
+    with pytest.raises(ValueError, match=re.escape(f"term {term!r}") + f".*above the cap {cap}"):
+        p(text, cap)
+    assert p("1 t^3", 3).degree() == 3
 
 
 def test_variable_and_constant_constructors():
