@@ -258,7 +258,10 @@ def _envelope_target(args: argparse.Namespace) -> MapGerm:
 def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
     """Trace the criminant, map it to the envelope, emit the picture."""
     target = _envelope_target(args)
-    report = count_cusps(target, args.grid)
+    try:
+        report = count_cusps(target, args.grid)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
     envelope = envelope_curves(target, report.curves)
     fits = []
     for branch in envelope.branches:

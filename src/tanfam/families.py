@@ -116,13 +116,17 @@ def family_from_invariants(
     """Build u = k0 t^2 + alpha t^3 + k1 t^2 xi plus an optional tail.
 
     The tail must be tangential itself and must not touch the three
-    steering monomials, so the stated invariants stay authoritative.
+    steering monomials, so the stated invariants stay authoritative.  A
+    nonzero invariant whose monomial lies above the cap raises ValueError
+    rather than being truncated away.
     """
-    u = TruncatedPoly(
-        SOURCE_VARS,
-        cap,
-        {(0, 2): as_fraction(k0), (1, 2): as_fraction(k1), (0, 3): as_fraction(alpha)},
-    )
+    steering = {(0, 2): as_fraction(k0), (1, 2): as_fraction(k1), (0, 3): as_fraction(alpha)}
+    for (md, value), name in zip(steering.items(), ("k0", "k1", "alpha")):
+        if value != 0 and sum(md) > cap:
+            raise ValueError(
+                f"{name} = {value} multiplies a degree-{sum(md)} term, above the cap {cap}"
+            )
+    u = TruncatedPoly(SOURCE_VARS, cap, steering)
     if higher is not None:
         if not isinstance(higher, TruncatedPoly):
             higher = TruncatedPoly.from_text(SOURCE_VARS, higher, cap)
@@ -252,17 +256,10 @@ def probe_branch_index(
         raise ValueError(f"branch family must be 'H' or 'A', got {family!r}")
     basis = build_extended_tangent_space(germ, order, kind=KIND_FULL)
     order = basis.order
-    count = len(basis.monomials)
-    offset = (2 if family == "H" else 1) * count
+    above = order + 1  # a threshold above the window selects no column
+    block = basis.block_columns((above, above, 1) if family == "H" else (above, 1, above))
     absorbed = basis.absorbed_columns()
-    top_failure = max(
-        (
-            sum(md)
-            for i, md in enumerate(basis.monomials)
-            if sum(md) > 0 and offset + i not in absorbed
-        ),
-        default=None,
-    )
+    top_failure = max((d for j, d in block.items() if j not in absorbed), default=None)
     if top_failure is None:
         # Nothing resists at any degree; no branch signature in the window.
         return BranchIndex(family, order, resolved=False, lower_bound=2)

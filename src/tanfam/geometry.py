@@ -603,10 +603,14 @@ def trace_criminant(target, grid: GridSpec | None = None) -> PlaneCurveSet:
     """Zero curves of the Jacobian determinant in source coordinates.
 
     Branches are tagged "branch-0", "branch-1", ... in deterministic
-    order.  An empty zero set gives an empty curve set.
+    order.  An empty zero set gives an empty curve set.  A determinant
+    sample that overflows to inf or NaN raises ValueError: the zero set
+    read from such a grid would be silently wrong.
     """
     grid = grid if grid is not None else GridSpec()
     values = np.asarray(as_planar_map(target).det(*grid.mesh()), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("the Jacobian determinant is not finite on this grid; shrink the domain")
     curves = _march(values, grid.xi_samples(), grid.t_samples())
     curves = _repair_nodes(curves, _SPLICE_RADIUS_CELLS * grid.cell_diagonal())
     branches = tuple(
@@ -827,7 +831,8 @@ def fit_cubic_coefficient(branch) -> float:
     """Least-squares c for y = c x^3 through the branch points.
 
     A second-order self-tangency with the x-axis means exactly this cubic
-    leading behavior, so the fitted c is the tangency certificate.
+    leading behavior, so the fitted c is the tangency certificate.  A fit
+    that overflows to inf or NaN raises ValueError.
     """
     pts = branch.as_array() if isinstance(branch, Branch) else np.asarray(branch, dtype=float)
     x = pts[:, 0]
@@ -835,7 +840,10 @@ def fit_cubic_coefficient(branch) -> float:
     denominator = float(np.sum(x**6))
     if denominator == 0.0:
         raise ValueError("cannot fit a cubic through points with x identically 0")
-    return float(np.sum(x**3 * y) / denominator)
+    c = float(np.sum(x**3 * y) / denominator)
+    if not math.isfinite(c):
+        raise ValueError("the cubic fit is not finite in float range")
+    return c
 
 
 DEFAULT_SWEEP_STEPS = 11

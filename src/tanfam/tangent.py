@@ -29,14 +29,19 @@ call at all: e_j lies in the span exactly when it is a row of the
 reduced echelon form, so block checks and branch probes read the set of
 such columns (absorbed_columns).  Membership modulo per-slot degree caps
 is membership in a copy of the space with the unit rows of the
-truncated columns added.
+truncated columns added.  TangentSpaceBasis is the one place that knows
+the column layout: it builds the (slot, monomial) -> column index once
+per basis, flatten_triple reads every generator row through it, and
+block_columns turns per-slot degree thresholds into columns for block
+checks, caps and branch probes alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from tanfam.jets import (
     SOURCE_VARS,
@@ -88,21 +93,19 @@ def _coerce_triple(vec: Sequence[TruncatedPoly], germ: MapGerm) -> JetTriple:
 
 
 def flatten_triple(
-    triple: Sequence[TruncatedPoly], monomials: Sequence[Exponents]
+    triple: Sequence[TruncatedPoly], columns: Mapping[tuple[int, Exponents], int]
 ) -> SparseRow:
-    """Slot-major primitive integer row over the given monomial list.
+    """Primitive integer row of a jet triple over a (slot, monomial) -> column index.
 
-    Terms whose monomial is not in the list (above the working order)
-    are dropped.
+    Terms whose monomial has no column (above the working order) are
+    dropped.
     """
-    index = {md: i for i, md in enumerate(monomials)}
-    count = len(monomials)
     row: dict[int, Fraction] = {}
     for slot, comp in enumerate(triple):
         for md, value in comp.terms():
-            i = index.get(md)
-            if i is not None:
-                row[slot * count + i] = value
+            j = columns.get((slot, md))
+            if j is not None:
+                row[j] = value
     return primitive_row(row)
 
 
@@ -148,52 +151,14 @@ def _source_rows(
             yield tag, tuple(mono * p for p in partial)  # type: ignore[misc]
 
 
-def extended_generators(
-    f: "MapGerm | Sequence[TruncatedPoly]",
-    order: int | None = None,
-    kind: str = KIND_FIBERED,
-) -> Iterator[tuple[str, JetTriple]]:
-    """Generator rows of the extended tangent space, with provenance tags."""
-    germ = _as_map_germ(f)
-    order = resolve_order(germ, order)
-    if kind not in (KIND_FIBERED, KIND_FULL):
-        raise ValueError(f"kind must be {KIND_FIBERED!r} or {KIND_FULL!r}, got {kind!r}")
-    planar = monomial_basis(2, 0, order)
-    spatial = monomial_basis(3, 0, order)
-    if kind == KIND_FULL:
-        slots = (spatial, spatial, spatial)
-    else:
-        slots = (planar, planar, spatial)
-    yield from _source_rows(germ, order, 0)
-    yield from _pullback_rows(germ, slots)
-
-
-def reduced_generators(
-    f: "MapGerm | Sequence[TruncatedPoly]",
-    order: int | None = None,
-    source_min_degree: int = 2,
-) -> Iterator[tuple[str, JetTriple]]:
-    """Generator rows of the reduced tangent space, with provenance tags."""
-    germ = _as_map_germ(f)
-    order = resolve_order(germ, order)
-    if source_min_degree < 1:
-        raise ValueError("source_min_degree must be >= 1 for a reduced space")
-    planar_sq = monomial_basis(2, 2, order)
-    spatial_sq = monomial_basis(3, 2, order)
-    slots = (
-        [(0, 1)] + planar_sq,          # {y} + m^2 in x, y
-        [(1, 0)] + planar_sq,          # {x} + m^2 in x, y
-        [(1, 0, 0), (0, 1, 0)] + spatial_sq,  # {x, y} + m^2 in x, y, z
-    )
-    yield from _source_rows(germ, order, source_min_degree)
-    yield from _pullback_rows(germ, slots)
-
-
 class TangentSpaceBasis:
     """Row-reduced span of tangent-space generators at a working order.
 
-    Holds the flattening monomial list, the echelon row space, and one
-    provenance tag per independent row (the generator that created it).
+    Holds the flattening monomial list, the column layout, the echelon
+    row space, and one provenance tag per independent row (the generator
+    that created it).  Construction is the one assembly loop: every
+    generator row is flattened through the column index and kept when it
+    enlarges the span.
     """
 
     def __init__(
@@ -201,16 +166,21 @@ class TangentSpaceBasis:
         kind: str,
         germ: MapGerm,
         order: int,
-        monomials: Sequence[Exponents],
-        space: RowSpace,
-        provenance: Sequence[str],
+        rows: Iterable[tuple[str, JetTriple]],
         config: dict | None = None,
     ):
         self.kind = kind
         self.germ = germ
         self.order = order
-        self.monomials = tuple(monomials)
-        self._space = space
+        self.monomials = tuple(monomial_basis(2, 0, order))
+        # Slot-major layout: column j holds the (slot, monomial) pair _cells[j].
+        self._cells = tuple((slot, md) for slot in range(3) for md in self.monomials)
+        self._columns = {cell: j for j, cell in enumerate(self._cells)}
+        self._space = RowSpace(len(self._cells))
+        provenance: list[str] = []
+        for tag, triple in rows:
+            if self._space.add(flatten_triple(triple, self._columns)):
+                provenance.append(tag)
         self.provenance = tuple(provenance)
         self.config = dict(config or {})
         self._canonical: list[list[int]] | None = None
@@ -236,9 +206,22 @@ class TangentSpaceBasis:
 
     def column_label(self, index: int) -> dict:
         """Map a flattened column index back to its slot and monomial."""
-        count = len(self.monomials)
-        md = self.monomials[index % count]
-        return {"slot": index // count + 1, "monomial": monomial_text(md, SOURCE_VARS)}
+        slot, md = self._cells[index]
+        return {"slot": slot + 1, "monomial": monomial_text(md, SOURCE_VARS)}
+
+    def block_columns(self, thresholds: Sequence[int]) -> dict[int, int]:
+        """The per-slot degree block: columns of slot s whose monomial has
+        degree >= thresholds[s], in column order, mapped to that degree.
+
+        A threshold above the working order selects nothing in its slot.
+        """
+        if len(thresholds) != 3:
+            raise ValueError(f"expected one degree threshold per slot, got {len(thresholds)}")
+        return {
+            j: sum(md)
+            for j, (slot, md) in enumerate(self._cells)
+            if sum(md) >= thresholds[slot]
+        }
 
     def absorbed_columns(self) -> frozenset[int]:
         """Columns j whose unit vector e_j lies in the span.
@@ -263,15 +246,12 @@ class TangentSpaceBasis:
         With caps = (p, q, r), the monomials of slot s above degree caps[s]
         are quotiented out: their unit rows join a copy of the space.
         """
-        row = flatten_triple(_coerce_triple(vec, self.germ), self.monomials)
+        row = flatten_triple(_coerce_triple(vec, self.germ), self._columns)
         space = self._space
         if caps is not None:
             space = space.copy()
-            count = len(self.monomials)
-            for slot, limit in enumerate(caps):
-                for i, md in enumerate(self.monomials):
-                    if sum(md) > limit:
-                        space.add({slot * count + i: 1})
+            for j in self.block_columns([limit + 1 for limit in caps]):
+                space.add({j: 1})
         return space.contains(row)
 
     def to_verdict(self) -> dict:
@@ -293,22 +273,6 @@ class TangentSpaceBasis:
         )
 
 
-def _assemble(
-    kind: str,
-    germ: MapGerm,
-    order: int,
-    rows: Iterable[tuple[str, JetTriple]],
-    config: dict | None = None,
-) -> TangentSpaceBasis:
-    monomials = monomial_basis(2, 0, order)
-    space = RowSpace(3 * len(monomials))
-    provenance: list[str] = []
-    for tag, triple in rows:
-        if space.add(flatten_triple(triple, monomials)):
-            provenance.append(tag)
-    return TangentSpaceBasis(kind, germ, order, monomials, space, provenance, config)
-
-
 def build_extended_tangent_space(
     f: "MapGerm | Sequence[TruncatedPoly]",
     order: int | None = None,
@@ -318,8 +282,14 @@ def build_extended_tangent_space(
     componentwise pullbacks (fibered in slots 1-2 unless kind is "A")."""
     germ = _as_map_germ(f)
     order = resolve_order(germ, order)
-    rows = extended_generators(germ, order, kind)
-    return _assemble(f"{kind}-extended", germ, order, rows)
+    if kind not in (KIND_FIBERED, KIND_FULL):
+        raise ValueError(f"kind must be {KIND_FIBERED!r} or {KIND_FULL!r}, got {kind!r}")
+    spatial = monomial_basis(3, 0, order)
+    planar = spatial if kind == KIND_FULL else monomial_basis(2, 0, order)
+    rows = chain(
+        _source_rows(germ, order, 0), _pullback_rows(germ, (planar, planar, spatial))
+    )
+    return TangentSpaceBasis(f"{kind}-extended", germ, order, rows)
 
 
 def build_reduced_tangent_space(
@@ -330,9 +300,18 @@ def build_reduced_tangent_space(
     """Reduced tangent space: positive-order source part plus the M* module."""
     germ = _as_map_germ(f)
     order = resolve_order(germ, order)
-    rows = reduced_generators(germ, order, source_min_degree)
+    if source_min_degree < 1:
+        raise ValueError("source_min_degree must be >= 1 for a reduced space")
+    planar_sq = monomial_basis(2, 2, order)
+    spatial_sq = monomial_basis(3, 2, order)
+    slots = (
+        [(0, 1)] + planar_sq,          # {y} + m^2 in x, y
+        [(1, 0)] + planar_sq,          # {x} + m^2 in x, y
+        [(1, 0, 0), (0, 1, 0)] + spatial_sq,  # {x, y} + m^2 in x, y, z
+    )
+    rows = chain(_source_rows(germ, order, source_min_degree), _pullback_rows(germ, slots))
     config = {"source_min_degree": source_min_degree}
-    return _assemble(f"{KIND_FIBERED}-reduced", germ, order, rows, config)
+    return TangentSpaceBasis(f"{KIND_FIBERED}-reduced", germ, order, rows, config)
 
 
 @dataclass(frozen=True)
@@ -378,14 +357,7 @@ def contains_ideal_block(
     for threshold in (p, q, r):
         if threshold < 0:
             raise ValueError("block degrees must be non-negative")
-    count = len(basis.monomials)
-    wanted = {
-        slot * count + i
-        for slot, threshold in enumerate((p, q, r))
-        for i, md in enumerate(basis.monomials)
-        if sum(md) >= threshold
-    }
-    missing = wanted - basis.absorbed_columns()
+    missing = basis.block_columns((p, q, r)).keys() - basis.absorbed_columns()
     witness = basis.column_label(min(missing)) if missing else None
     return BlockCheck(not missing, (p, q, r), basis.order, basis.order + 1, witness)
 
@@ -461,7 +433,7 @@ def miniversality_check(
     inside: list[list[str]] = []
     added = 0
     for triple in triples:
-        if space.add(flatten_triple(triple, basis.monomials)):
+        if space.add(flatten_triple(triple, basis._columns)):
             added += 1
         else:
             inside.append([comp.to_text() for comp in triple])

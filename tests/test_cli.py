@@ -349,6 +349,31 @@ def test_envelope_empty_window_notes_it(capsys, tmp_path):
     check_schema(payload, "envelope")
 
 
+def test_envelope_fit_overflow_reports_null(capsys, tmp_path):
+    # before, a NaN fit reached json.dumps and main() died with a traceback
+    code, payload, _ = run_json(
+        capsys, "envelope", "--input", '{"u": "1 xi t^2"}', "--grid", "16",
+        "--domain", "1e60", "--out", str(tmp_path / "env.svg"),
+    )
+    assert code == EXIT_OK
+    assert payload["branches"] == 2
+    assert [fit["c"] for fit in payload["fits"]] == [None, None]
+    check_schema(payload, "envelope")
+
+
+def test_envelope_determinant_overflow_is_malformed(capsys, tmp_path):
+    # before, exit 0 with "no criminant in the window"
+    out_path = tmp_path / "env.svg"
+    code, out, err = run(
+        capsys, "envelope", "--input", '{"u": "1 xi t^2"}', "--grid", "16",
+        "--domain", "1e160", "--out", str(out_path),
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+    assert not out_path.exists()
+
+
 def test_envelope_not_tangential_family_hints_components(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -442,6 +467,17 @@ def test_sweep_rejects_excluded_modulus(capsys, tmp_path):
     )
     assert code == EXIT_MALFORMED
     assert err.startswith("error:")
+
+
+def test_sweep_determinant_overflow_is_malformed(capsys, tmp_path):
+    # before, exit 0 with 0 branches in the frame
+    code, out, err = run(
+        capsys, "sweep", "--a", "1/5", "--domain", "1e160", "--grid", "16",
+        "--lambdas=0.1", "--out", str(tmp_path / "s"),
+    )
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_sweep_beaks_rejects_mu(capsys, tmp_path):
@@ -650,6 +686,8 @@ def test_normal_form_below_cap_three_is_malformed(capsys, tmp_path, argv):
         ["classify", "--input", '{"u": "1 t^2 + 1 t^99"}'],
         ["envelope", "--input", '{"u": "1 xi t^2"}', "--cap", "2", "--grid", "16"],
         ["envelope", "--input", '{"components": ["1 xi + 1 t", "1 t^9"]}', "--grid", "16"],
+        ["classify", "--cap", "2", "--input", '{"k0": "0", "k1": "1", "alpha": "1/2"}'],
+        ["envelope", "--cap", "2", "--input", '{"k0": "0", "k1": "0", "alpha": "1"}'],
     ],
 )
 def test_terms_above_the_cap_are_malformed(capsys, tmp_path, argv):
@@ -661,6 +699,14 @@ def test_terms_above_the_cap_are_malformed(capsys, tmp_path, argv):
     assert err.startswith("error:") and "above the cap" in err
     assert len(err.strip().splitlines()) == 1
     assert not out_path.exists()
+
+
+def test_zero_invariants_above_the_cap_are_accepted(capsys):
+    code, payload, _ = run_json(
+        capsys, "classify", "--cap", "2", "--input", '{"k0": "1", "k1": "0", "alpha": "0"}'
+    )
+    assert code == EXIT_OK
+    assert payload["variant"] == "TypeI"
 
 
 def test_cap_at_budget_is_accepted(capsys):

@@ -60,6 +60,24 @@ def test_family_from_invariants_with_tail():
         family_from_invariants(0, 3, 2, higher=5)
 
 
+@pytest.mark.parametrize(
+    "invariants, cap, name",
+    [((1, 0, 0), 1, "k0"), ((0, 1, "1/2"), 2, "k1"), ((0, 0, "1/2"), 2, "alpha")],
+)
+def test_family_from_invariants_rejects_invariants_above_the_cap(invariants, cap, name):
+    # before, the constructor truncated the term away without notice
+    with pytest.raises(ValueError, match=f"^{name} = .* above the cap {cap}$"):
+        family_from_invariants(*invariants, cap=cap)
+    with pytest.raises(ValueError, match=f"above the cap {cap}"):
+        family_from_mapping(dict(zip(("k0", "k1", "alpha"), invariants)), cap)
+
+
+def test_family_from_invariants_accepts_zero_invariants_above_the_cap():
+    g = family_from_invariants(1, 0, 0, cap=2)
+    assert g.invariants == (1, 0, 0) and g.cap == 2
+    assert family_from_invariants(0, 0, 0, cap=1).u.is_zero
+
+
 def test_family_from_mapping_variants():
     assert family_from_mapping({"u": "1 t^2 xi"}).k1 == 1
     g = family_from_mapping({"k0": 0, "k1": "1", "alpha": "1/2"})

@@ -289,6 +289,14 @@ def test_trace_constant_det_is_empty():
     assert count_cusps(shear, GridSpec.square(1.0, 64)).count == 0
 
 
+def test_trace_rejects_a_determinant_that_overflows():
+    # before, inf and NaN samples read as "no criminant in the window"
+    target = MapGerm((XI + T, XI * T * T))
+    assert trace_criminant(target, GridSpec.square(1e150, 16)).branch_count == 2
+    with pytest.raises(ValueError, match="not finite"):
+        trace_criminant(target, GridSpec.square(1e160, 16))
+
+
 def test_trace_closed_criminant_is_one_closed_branch():
     grid = GridSpec.square(1.0, 101)
     curves = trace_criminant(CIRCLE, grid)
@@ -383,6 +391,12 @@ def test_fit_cubic_coefficient():
     assert fit_cubic_coefficient(branch) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         fit_cubic_coefficient(np.array([[0.0, 1.0], [0.0, 2.0]]))
+
+
+def test_fit_cubic_coefficient_rejects_a_fit_that_overflows():
+    # before, NaN came back and later broke the JSON payload
+    with pytest.raises(ValueError, match="not finite"):
+        fit_cubic_coefficient(np.array([[1e60, 1e180], [-1e60, -1e180]]))
 
 
 # ---------------------------------------------------------------------------

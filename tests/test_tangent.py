@@ -7,6 +7,7 @@ algebra.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy as sp
@@ -20,18 +21,17 @@ from helpers_oracle import (
     T,
     XI,
 )
-from tanfam.families import double_umbrella_form, fold_form
-from tanfam.jets import SOURCE_VARS, TruncatedPoly
+from tanfam.families import double_umbrella_form, fold_form, probe_branch_index
+from tanfam.jets import SOURCE_VARS, MapGerm, TruncatedPoly, monomial_text
+from tanfam.linalg import RowSpace, primitive_row
 from tanfam.tangent import (
     KIND_FIBERED,
     KIND_FULL,
     build_extended_tangent_space,
     build_reduced_tangent_space,
     contains_ideal_block,
-    extended_generators,
     jet_sufficiency_step,
     miniversality_check,
-    reduced_generators,
 )
 
 XI_P = TruncatedPoly.variable(SOURCE_VARS, "xi", 8)
@@ -72,11 +72,159 @@ def test_basis_bookkeeping():
 
 
 def test_generators_tagged():
-    tags = [tag for tag, _ in extended_generators(fold_form(8), 2)]
+    tags = build_extended_tangent_space(fold_form(8), 2).provenance
     assert any(tag.startswith(("dxi", "dt")) for tag in tags)  # source rows
     assert any("<-" in tag for tag in tags)  # pullback rows
-    reduced_tags = [tag for tag, _ in reduced_generators(fold_form(8), 2)]
+    reduced_tags = build_reduced_tangent_space(fold_form(8), 2).provenance
     assert len(reduced_tags) < len(tags)  # fewer multipliers, smaller module
+
+
+def _tags(text):
+    return tuple(text.split(", "))
+
+
+# the umbrella's independent source rows, the same in both extended kinds
+_UMBRELLA_SOURCE_TAGS_4 = _tags(
+    "dxi * 1, dxi * xi, dxi * t, dxi * xi^2, dxi * xi t, dxi * t^2, dxi * xi^3, "
+    "dxi * xi^2 t, dxi * xi t^2, dxi * t^3, dxi * xi^4, dxi * xi^3 t, "
+    "dxi * xi^2 t^2, dxi * xi t^3, dxi * t^4, dt * 1, dt * xi, dt * t, "
+    "dt * xi^2, dt * xi t, dt * t^2, dt * xi^3, dt * xi^2 t, dt * xi t^2, dt * t^3"
+)
+PINNED_PROVENANCE = {
+    "fold-reduced-3": _tags(
+        "dxi * xi^2, dxi * xi t, dxi * t^2, dxi * xi^3, dxi * xi^2 t, dxi * xi t^2, "
+        "dxi * t^3, dt * xi^2, dt * xi t, dt * t^2, dt * xi^3, dt * xi^2 t, "
+        "dt * xi t^2, dt * t^3, slot2 <- x, slot2 <- x^2, slot2 <- x y, "
+        "slot2 <- x^3, slot3 <- x, slot3 <- y, slot3 <- x^2"
+    ),
+    "umbrella-A-star-4": _UMBRELLA_SOURCE_TAGS_4
+    + _tags(
+        "slot1 <- 1, slot1 <- x, slot1 <- x^2, slot2 <- 1, slot2 <- x, "
+        "slot2 <- y, slot2 <- x^2, slot2 <- x y, slot2 <- x^3, slot2 <- x^4, "
+        "slot3 <- 1, slot3 <- x, slot3 <- y, slot3 <- z, slot3 <- x^2, "
+        "slot3 <- x^3, slot3 <- x^4"
+    ),
+    "umbrella-A-4": _UMBRELLA_SOURCE_TAGS_4
+    + _tags(
+        "slot1 <- 1, slot1 <- x, slot1 <- z, slot1 <- x^2, slot2 <- 1, "
+        "slot2 <- x, slot2 <- y, slot2 <- z, slot2 <- x^2, slot2 <- x y, "
+        "slot2 <- x z, slot2 <- z^2, slot2 <- x^3, slot2 <- x^4, slot3 <- 1, "
+        "slot3 <- x, slot3 <- x^2, slot3 <- x^3, slot3 <- x^4"
+    ),
+}
+
+
+def pinned_space(name):
+    if name == "fold-reduced-3":
+        return build_reduced_tangent_space(fold_form(8), order=3)
+    kind = KIND_FULL if name == "umbrella-A-4" else KIND_FIBERED
+    return build_extended_tangent_space(double_umbrella_form(Fraction(1, 5), 1, 8), 4, kind)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROVENANCE))
+def test_provenance_tags_are_pinned(name):
+    """Which generator created each independent row, in build order."""
+    basis = pinned_space(name)
+    assert basis.provenance == PINNED_PROVENANCE[name]
+    assert len(basis.provenance) == basis.rank
+
+
+def reference_cells(basis):
+    """(column, slot, monomial) in the slot-major column order."""
+    count = len(basis.monomials)
+    return [
+        (slot * count + i, slot, md)
+        for slot in range(3)
+        for i, md in enumerate(basis.monomials)
+    ]
+
+
+def reference_space(basis):
+    """A fresh row space over the basis's reduced rows."""
+    space = RowSpace(basis.dimension)
+    for row in basis.canonical_matrix():
+        space.add({j: v for j, v in enumerate(row) if v})
+    return space
+
+
+def reference_members(basis):
+    """Columns whose unit vector lies in the span, one contains call each."""
+    space = reference_space(basis)
+    return {j for j, _, _ in reference_cells(basis) if space.contains({j: 1})}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROVENANCE))
+def test_block_caps_and_probes_match_unit_vector_reference(name):
+    basis = pinned_space(name)
+    cells = reference_cells(basis)
+    members = reference_members(basis)
+    window = range(basis.order + 2)
+
+    for thresholds in product(window, repeat=3):
+        missing = [
+            (slot, md)
+            for j, slot, md in cells
+            if sum(md) >= thresholds[slot] and j not in members
+        ]
+        check = contains_ideal_block(basis, *thresholds)
+        assert check.holds == (not missing), thresholds
+        if missing:
+            slot, md = missing[0]
+            expected = {"slot": slot + 1, "monomial": monomial_text(md, SOURCE_VARS)}
+            assert check.witness == expected, thresholds
+
+    # the probe reads the unrestricted extended space, here of this germ
+    # and of an H and an A branch germ at the same order
+    germs = [
+        basis.germ,
+        MapGerm((XI_P, T_P**3, T_P * XI_P + T_P**5)),
+        MapGerm((XI_P, T_P**3 + T_P * XI_P**4, T_P * T_P)),
+    ]
+    tops = []
+    for germ, (family, branch_slot) in product(germs, (("H", 2), ("A", 1))):
+        full = build_extended_tangent_space(germ, basis.order, KIND_FULL)
+        full_members = reference_members(full)
+        top = max(
+            (
+                sum(md)
+                for j, slot, md in reference_cells(full)
+                if slot == branch_slot and sum(md) > 0 and j not in full_members
+            ),
+            default=None,
+        )
+        got = probe_branch_index(germ, family, basis.order)
+        assert got.essential_degree == top, (germ, family)
+        tops.append(top)
+    assert None in tops and len(set(tops)) > 2
+
+    xi, t, zero = XI_P, T_P, ZERO
+    vectors = [
+        (zero, zero, t),
+        (zero, t, zero),
+        (t * t, zero, zero),
+        (zero, t * t + xi * t, zero),
+        (t**3, zero, xi * t),
+        (t, xi, t * t),
+    ]
+    column = {(slot, md): j for j, slot, md in cells}
+    rows = [
+        primitive_row(
+            {column[slot, md]: v for slot, comp in enumerate(vec) for md, v in comp.terms()}
+        )
+        for vec in vectors
+    ]
+    base = reference_space(basis)
+    outcomes = set()
+    for caps in product(range(basis.order + 1), repeat=3):
+        space = base.copy()
+        for j, slot, md in cells:
+            if sum(md) > caps[slot]:
+                space.add({j: 1})
+        for vec, row in zip(vectors, rows):
+            expected = space.contains(row)
+            assert basis.contains(vec, caps=caps) == expected, (vec, caps)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
