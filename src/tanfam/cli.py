@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from tanfam.emit import emit_svg, emit_sweep
+from tanfam import emit, geometry
 from tanfam.families import (
     NotTangentialError,
     SingularityLabel,
@@ -41,17 +41,15 @@ from tanfam.families import (
     family_from_mapping,
     fold_form,
 )
-from tanfam.geometry import (
+from tanfam.jets import (
+    DEFAULT_CAP,
     DEFAULT_RESOLUTION,
-    GridSpec,
     MODE_BEAKS,
     MODE_VERSAL,
-    count_cusps,
-    deformation_sweep,
-    envelope_curves,
-    fit_cubic_coefficient,
+    MapGerm,
+    SOURCE_VARS,
+    TruncatedPoly,
 )
-from tanfam.jets import DEFAULT_CAP, MapGerm, SOURCE_VARS, TruncatedPoly
 from tanfam.selfcheck import (
     DEFAULT_ORACLE_SAMPLES,
     DEFAULT_ROUNDS,
@@ -91,16 +89,16 @@ class CLIError(Exception):
     """Content-level problem with the invocation; maps to exit 1."""
 
 
-def _parse_domain(text: str | None, resolution: int) -> GridSpec:
+def _parse_domain(text: str | None, resolution: int) -> geometry.GridSpec:
     if text is None:
-        return GridSpec.square(1.0, resolution)
+        return geometry.GridSpec.square(1.0, resolution)
     parts = [p.strip() for p in text.split(",")]
     try:
         if len(parts) == 1:
-            return GridSpec.square(float(parts[0]), resolution)
+            return geometry.GridSpec.square(float(parts[0]), resolution)
         if len(parts) == 4:
             lo_xi, hi_xi, lo_t, hi_t = (float(p) for p in parts)
-            return GridSpec(lo_xi, hi_xi, lo_t, hi_t, resolution, resolution)
+            return geometry.GridSpec(lo_xi, hi_xi, lo_t, hi_t, resolution, resolution)
     except ValueError as exc:
         raise CLIError(f"bad --domain value {text!r}: {exc}") from exc
     raise CLIError("--domain takes a half-width or 'ximin,ximax,tmin,tmax'")
@@ -133,16 +131,20 @@ def _load_input(text: str) -> dict:
 def _check_args(args: argparse.Namespace) -> None:
     """Resolve and check every setting in place, before any command runs.
 
-    Afterwards ``grid`` is a GridSpec, ``data`` holds the parsed --input,
-    ``lambdas`` is a tuple or None (the library default), ``order`` is
-    the working order (None lets classify use cap - 1) and ``out`` is a
-    Path, or None where the payload goes to stdout.
+    Afterwards ``grid`` is a GridSpec for envelope and sweep, or when
+    --domain is given; otherwise it stays the checked samples per axis,
+    so the exact commands never load the float layer.  ``data`` holds
+    the parsed --input, ``lambdas`` is a tuple or None (the library
+    default), ``order`` is the working order (None lets classify use
+    cap - 1) and ``out`` is a Path, or None where the payload goes to
+    stdout.
     """
     if not 2 <= args.grid <= MAX_GRID_RESOLUTION:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
     if args.cap > MAX_CAP:
         raise CLIError(f"--cap takes at most {MAX_CAP}")
-    args.grid = _parse_domain(args.domain, args.grid)
+    if args.command in ("envelope", "sweep") or args.domain is not None:
+        args.grid = _parse_domain(args.domain, args.grid)
     if hasattr(args, "input"):
         args.data = _load_input(args.input)
     if getattr(args, "lambdas", None) is not None:
@@ -259,18 +261,18 @@ def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
     """Trace the criminant, map it to the envelope, emit the picture."""
     target = _envelope_target(args)
     try:
-        report = count_cusps(target, args.grid)
+        report = geometry.count_cusps(target, args.grid)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    envelope = envelope_curves(target, report.curves)
+    envelope = geometry.envelope_curves(target, report.curves)
     fits = []
     for branch in envelope.branches:
         try:
-            c = fit_cubic_coefficient(branch)
+            c = geometry.fit_cubic_coefficient(branch)
         except ValueError:
             c = None
         fits.append({"tag": branch.tag, "c": c})
-    emit_svg(envelope, args.out)
+    emit.emit_svg(envelope, args.out)
     payload = {
         "branches": envelope.branch_count,
         "cusps": report.count,
@@ -288,7 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mode == MODE_BEAKS and (args.mu1 != 0.0 or args.mu2 != 0.0):
         raise CLIError("--mu1/--mu2 apply in versal mode only")
     try:
-        frames = deformation_sweep(
+        frames = geometry.deformation_sweep(
             germ,
             mode=args.mode,
             lambdas=args.lambdas,
@@ -298,7 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    manifest = emit_sweep(frames, args.out)
+    manifest = emit.emit_sweep(frames, args.out)
     payload = {
         "directory": str(args.out),
         "cusp_counts": [frame.cusp_count for frame in frames],

@@ -42,13 +42,16 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from tanfam.jets import MapGerm, TruncatedPoly
+from tanfam.jets import (
+    DEFAULT_RESOLUTION,
+    MODE_BEAKS,
+    MODE_VERSAL,
+    MapGerm,
+    TruncatedPoly,
+)
 
-DEFAULT_RESOLUTION = 512
 CHART_EPSILON = 1e-8
 CUSP_ANGLE_DEGREES = 2.0
-MODE_VERSAL = "versal"
-MODE_BEAKS = "beaks"
 
 # Guard against wrap-around of the kernel/tangent line angle (which lives
 # mod 180 degrees): a sign change only counts as a tangency crossing when
@@ -608,7 +611,9 @@ def trace_criminant(target, grid: GridSpec | None = None) -> PlaneCurveSet:
     read from such a grid would be silently wrong.
     """
     grid = grid if grid is not None else GridSpec()
-    values = np.asarray(as_planar_map(target).det(*grid.mesh()), dtype=float)
+    # Overflow is detected just below, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(as_planar_map(target).det(*grid.mesh()), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("the Jacobian determinant is not finite on this grid; shrink the domain")
     curves = _march(values, grid.xi_samples(), grid.t_samples())
@@ -837,10 +842,12 @@ def fit_cubic_coefficient(branch) -> float:
     pts = branch.as_array() if isinstance(branch, Branch) else np.asarray(branch, dtype=float)
     x = pts[:, 0]
     y = pts[:, 1]
-    denominator = float(np.sum(x**6))
-    if denominator == 0.0:
-        raise ValueError("cannot fit a cubic through points with x identically 0")
-    c = float(np.sum(x**3 * y) / denominator)
+    # Overflow is detected below, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        denominator = float(np.sum(x**6))
+        if denominator == 0.0:
+            raise ValueError("cannot fit a cubic through points with x identically 0")
+        c = float(np.sum(x**3 * y) / denominator)
     if not math.isfinite(c):
         raise ValueError("the cubic fit is not finite in float range")
     return c

@@ -34,6 +34,13 @@ SOURCE_VARS = ("xi", "t")
 TARGET_VARS = ("x", "y", "z")
 DEFAULT_CAP = 8
 
+# Float-layer settings the CLI parser needs before any float work.  They
+# live here, in a numpy-free module, so commands that never touch the
+# float layer never import numpy; geometry re-exports them.
+DEFAULT_RESOLUTION = 512
+MODE_VERSAL = "versal"
+MODE_BEAKS = "beaks"
+
 Exponents = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
 

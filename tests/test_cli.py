@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tanfam.cli
+import tanfam.geometry
 from tanfam.cli import (
     EXIT_CONTRADICTS,
     EXIT_INDETERMINATE,
@@ -615,8 +616,8 @@ def test_grid_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
     def never(*args, **kwargs):
         raise AssertionError("nothing may be evaluated past the grid budget")
 
-    monkeypatch.setattr(tanfam.cli, "count_cusps", never)
-    monkeypatch.setattr(tanfam.cli, "deformation_sweep", never)
+    monkeypatch.setattr(tanfam.geometry, "count_cusps", never)
+    monkeypatch.setattr(tanfam.geometry, "deformation_sweep", never)
     out_path = tmp_path / "out"
     code, out, err = run(
         capsys, *argv, "--grid", str(MAX_GRID_RESOLUTION + 1), "--out", str(out_path)
@@ -648,11 +649,11 @@ def test_cap_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
         "build_reduced_tangent_space",
         "miniversality_check",
         "double_umbrella_form",
-        "count_cusps",
-        "deformation_sweep",
         "run_all",
     ):
         monkeypatch.setattr(tanfam.cli, name, never)
+    for name in ("count_cusps", "deformation_sweep"):
+        monkeypatch.setattr(tanfam.geometry, name, never)
     out_path = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--cap", str(MAX_CAP + 1), "--out", str(out_path))
     assert MAX_CAP == 28
