@@ -837,7 +837,8 @@ def fit_cubic_coefficient(branch) -> float:
 
     A second-order self-tangency with the x-axis means exactly this cubic
     leading behavior, so the fitted c is the tangency certificate.  A fit
-    that overflows to inf or NaN raises ValueError.
+    whose sum of x^6 or of x^3 y overflows to inf or NaN raises ValueError:
+    an infinite denominator alone would read as c = 0.
     """
     pts = branch.as_array() if isinstance(branch, Branch) else np.asarray(branch, dtype=float)
     x = pts[:, 0]
@@ -845,9 +846,12 @@ def fit_cubic_coefficient(branch) -> float:
     # Overflow is detected below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         denominator = float(np.sum(x**6))
-        if denominator == 0.0:
-            raise ValueError("cannot fit a cubic through points with x identically 0")
-        c = float(np.sum(x**3 * y) / denominator)
+        numerator = float(np.sum(x**3 * y))
+    if not (math.isfinite(denominator) and math.isfinite(numerator)):
+        raise ValueError("the cubic fit is not finite in float range")
+    if denominator == 0.0:
+        raise ValueError("cannot fit a cubic through points with x identically 0")
+    c = numerator / denominator
     if not math.isfinite(c):
         raise ValueError("the cubic fit is not finite in float range")
     return c

@@ -112,8 +112,10 @@ class RowSpace:
                     rows[k] = _eliminate(rows[k], rows[i], col)
         dense = []
         for row in rows:
-            row = primitive_row(row)
-            dense.append([row.get(j, 0) for j in range(self.width)])
+            out = [0] * self.width
+            for j, value in primitive_row(row).items():
+                out[j] = value
+            dense.append(out)
         return dense
 
     def copy(self) -> "RowSpace":

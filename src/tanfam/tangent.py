@@ -18,11 +18,28 @@ different conventions for "positive order" exist; 2 is the default and
 the one all shipped checks use.
 
 Every space is truncated at a working order W <= cap - 1 (the cap-degree
-terms of the derivatives of f are not trustworthy).  Each generator is
-flattened straight from its jet terms to a sparse primitive integer row
-over the slot-major columns (slot, monomial), in the global monomial
-order, and row-reduced with the fraction-free elimination from linalg.
-Identical inputs therefore produce identical reduced matrices.
+terms of the derivatives of f are not trustworthy).  Generators are built
+in integer arithmetic at W, not in Fraction jets at the cap:
+
+- the components are scaled once by one common positive integer s, the
+  lcm of all their denominators;
+- the pullback of a target monomial m of degree d is then s^d times the
+  true one, and is formed as pull(m / v) * f_v, with v the last variable
+  of m, memoized per build and multiplied with terms above W dropped;
+- a source generator multiplies the partials of the scaled components
+  (taken at W + 1, then differentiated), which are s times the true ones
+  in all three slots alike, by a monomial: an exponent shift.
+
+So every row is a positive multiple of the true generator's row, and
+primitive_row is invariant under nonzero scaling.  Truncation drops only
+terms of degree > W, which have no column; degrees add under
+multiplication and fall by one under differentiation, so no dropped term
+could have reached a kept one.  Each generator is read straight into a
+sparse row over the slot-major columns (slot, monomial), in the global
+monomial order, and row-reduced with the fraction-free elimination from
+linalg, in a fixed generator order.  Identical inputs therefore produce
+identical reduced matrices and provenance, the same as building each
+generator as a Fraction jet at the cap and flattening it would.
 
 Membership has one primitive, RowSpace.contains.  Unit vectors need no
 call at all: e_j lies in the span exactly when it is a row of the
@@ -31,9 +48,10 @@ such columns (absorbed_columns).  Membership modulo per-slot degree caps
 is membership in a copy of the space with the unit rows of the
 truncated columns added.  TangentSpaceBasis is the one place that knows
 the column layout: it builds the (slot, monomial) -> column index once
-per basis, flatten_triple reads every generator row through it, and
-block_columns turns per-slot degree thresholds into columns for block
-checks, caps and branch probes alike.
+per basis, reads every generator row through it, flatten_triple reads
+user-given jet triples (membership and complement vectors) through it,
+and block_columns turns per-slot degree thresholds into columns for
+block checks, caps and branch probes alike.
 """
 
 from __future__ import annotations
@@ -41,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from tanfam.jets import (
@@ -55,6 +74,13 @@ from tanfam.jets import (
 from tanfam.linalg import RowSpace, SparseRow, primitive_row
 
 JetTriple = tuple[TruncatedPoly, TruncatedPoly, TruncatedPoly]
+# An integer jet in the source variables: exponents -> nonzero int, and
+# the same as a term list (degree, exponents, value) by ascending degree.
+IntJet = dict[Exponents, int]
+IntTerms = list[tuple[int, Exponents, int]]
+# A generator: its provenance tag, unformatted as (prefix, monomial,
+# variable names), and its slots as (slot, integer jet) pairs.
+Generator = tuple[tuple[str, Exponents, Sequence[str]], tuple[tuple[int, IntJet], ...]]
 
 KIND_FIBERED = "A-star"
 KIND_FULL = "A"
@@ -64,6 +90,8 @@ def _as_map_germ(f: "MapGerm | Sequence[TruncatedPoly]") -> MapGerm:
     germ = f if isinstance(f, MapGerm) else MapGerm(tuple(f))
     if germ.arity != 3:
         raise ValueError("tangent spaces are built for 3-component germs")
+    if germ.variables != SOURCE_VARS:
+        raise ValueError(f"tangent spaces are built for germs in {SOURCE_VARS}")
     return germ
 
 
@@ -109,46 +137,84 @@ def flatten_triple(
     return primitive_row(row)
 
 
-def _monomial_poly(md: Exponents, cap: int) -> TruncatedPoly:
-    return TruncatedPoly(SOURCE_VARS, cap, {md: 1})
+def _integer_components(germ: MapGerm, order: int) -> list[IntTerms]:
+    """The germ's components times one common positive integer (the lcm of
+    all their denominators), truncated at order."""
+    terms = [comp.terms() for comp in germ.components]
+    scale = lcm(*(value.denominator for comp in terms for _, value in comp))
+    return [
+        [
+            (sum(md), md, value.numerator * (scale // value.denominator))
+            for md, value in comp
+            if sum(md) <= order
+        ]
+        for comp in terms
+    ]
+
+
+def _truncated_product(a: IntJet, b: IntTerms, order: int) -> IntJet:
+    """a * b with the terms of degree > order dropped."""
+    out: IntJet = {}
+    for (i, j), va in a.items():
+        room = order - i - j
+        for degree, (k, l), vb in b:
+            if degree > room:
+                break
+            md = (i + k, j + l)
+            out[md] = out.get(md, 0) + va * vb
+    return {md: value for md, value in out.items() if value}
+
+
+def _pullback(
+    md: Exponents, pulled: dict[Exponents, IntJet], comps: list[IntTerms], order: int
+) -> IntJet:
+    """The pullback of the target monomial md, memoized in pulled, as
+    pull(md / v) * comps[v] for the last variable v of md.
+
+    A module function, not a closure over pulled: a recursive closure is a
+    reference cycle, which would keep each build's memo alive until the
+    cyclic garbage collector ran.
+    """
+    jet = pulled.get(md)
+    if jet is None:
+        i = max(k for k, e in enumerate(md) if e)
+        lower = _pullback(md[:i] + (md[i] - 1,) + md[i + 1 :], pulled, comps, order)
+        jet = pulled[md] = _truncated_product(lower, comps[i], order)
+    return jet
 
 
 def _pullback_rows(
-    germ: MapGerm, slot_monomials: Sequence[Sequence[Exponents]]
-) -> Iterator[tuple[str, JetTriple]]:
-    cap = germ.cap
-    comps = germ.components
-    zero = TruncatedPoly.zero(SOURCE_VARS, cap)
-    one = TruncatedPoly.constant(SOURCE_VARS, 1, cap)
-    powers: list[list[TruncatedPoly]] = [[one] for _ in comps]
-
-    def comp_power(i: int, n: int) -> TruncatedPoly:
-        while len(powers[i]) <= n:
-            powers[i].append(powers[i][-1] * comps[i])
-        return powers[i][n]
-
+    germ: MapGerm, order: int, slot_monomials: Sequence[Sequence[Exponents]]
+) -> Iterator[Generator]:
+    comps = _integer_components(germ, order)
+    # Pullbacks of target monomials (padded to x, y, z), shared by the slots.
+    pulled: dict[Exponents, IntJet] = {(0, 0, 0): {(0, 0): 1}}
     for slot, monomials in enumerate(slot_monomials):
+        prefix = f"slot{slot + 1} <- "
         for md in monomials:
-            pulled = one
-            for i, e in enumerate(md):
-                if e:
-                    pulled = pulled * comp_power(i, e)
-            placed = [zero, zero, zero]
-            placed[slot] = pulled
-            tag = f"slot{slot + 1} <- {monomial_text(md, TARGET_VARS[: len(md)])}"
-            yield tag, (placed[0], placed[1], placed[2])
+            jet = _pullback(md + (0,) * (3 - len(md)), pulled, comps, order)
+            yield (prefix, md, TARGET_VARS[: len(md)]), ((slot, jet),)
 
 
-def _source_rows(
-    germ: MapGerm, order: int, min_multiplier_degree: int
-) -> Iterator[tuple[str, JetTriple]]:
-    cap = germ.cap
-    for name in SOURCE_VARS:
-        partial = tuple(c.derive(name) for c in germ.components)
-        for md in monomial_basis(2, min_multiplier_degree, order):
-            mono = _monomial_poly(md, cap)
-            tag = f"d{name} * {monomial_text(md, SOURCE_VARS)}"
-            yield tag, tuple(mono * p for p in partial)  # type: ignore[misc]
+def _source_rows(germ: MapGerm, order: int, min_multiplier_degree: int) -> Iterator[Generator]:
+    comps = _integer_components(germ, order + 1)
+    for index, name in enumerate(SOURCE_VARS):
+        partials = [
+            [
+                (degree - 1, md[:index] + (md[index] - 1,) + md[index + 1 :], value * md[index])
+                for degree, md, value in comp
+                if md[index]
+            ]
+            for comp in comps
+        ]
+        prefix = f"d{name} * "
+        for i, j in monomial_basis(2, min_multiplier_degree, order):
+            room = order - i - j
+            shifted = tuple(
+                (slot, {(k + i, l + j): v for degree, (k, l), v in terms if degree <= room})
+                for slot, terms in enumerate(partials)
+            )
+            yield (prefix, (i, j), SOURCE_VARS), shifted
 
 
 class TangentSpaceBasis:
@@ -157,8 +223,8 @@ class TangentSpaceBasis:
     Holds the flattening monomial list, the column layout, the echelon
     row space, and one provenance tag per independent row (the generator
     that created it).  Construction is the one assembly loop: every
-    generator row is flattened through the column index and kept when it
-    enlarges the span.
+    generator's integer jets are read through the column layout into a
+    sparse row, which is kept when it enlarges the span.
     """
 
     def __init__(
@@ -166,7 +232,7 @@ class TangentSpaceBasis:
         kind: str,
         germ: MapGerm,
         order: int,
-        rows: Iterable[tuple[str, JetTriple]],
+        rows: Iterable[Generator],
         config: dict | None = None,
     ):
         self.kind = kind
@@ -177,10 +243,16 @@ class TangentSpaceBasis:
         self._cells = tuple((slot, md) for slot in range(3) for md in self.monomials)
         self._columns = {cell: j for j, cell in enumerate(self._cells)}
         self._space = RowSpace(len(self._cells))
+        index = {md: k for k, md in enumerate(self.monomials)}
+        per_slot = len(self.monomials)
         provenance: list[str] = []
-        for tag, triple in rows:
-            if self._space.add(flatten_triple(triple, self._columns)):
-                provenance.append(tag)
+        for (prefix, md, names), cells in rows:
+            row: SparseRow = {}
+            for slot, jet in cells:
+                base = slot * per_slot
+                row.update((base + index[m], value) for m, value in jet.items())
+            if self._space.add(row):
+                provenance.append(prefix + monomial_text(md, names))
         self.provenance = tuple(provenance)
         self.config = dict(config or {})
         self._canonical: list[list[int]] | None = None
@@ -287,7 +359,7 @@ def build_extended_tangent_space(
     spatial = monomial_basis(3, 0, order)
     planar = spatial if kind == KIND_FULL else monomial_basis(2, 0, order)
     rows = chain(
-        _source_rows(germ, order, 0), _pullback_rows(germ, (planar, planar, spatial))
+        _source_rows(germ, order, 0), _pullback_rows(germ, order, (planar, planar, spatial))
     )
     return TangentSpaceBasis(f"{kind}-extended", germ, order, rows)
 
@@ -309,7 +381,9 @@ def build_reduced_tangent_space(
         [(1, 0)] + planar_sq,          # {x} + m^2 in x, y
         [(1, 0, 0), (0, 1, 0)] + spatial_sq,  # {x, y} + m^2 in x, y, z
     )
-    rows = chain(_source_rows(germ, order, source_min_degree), _pullback_rows(germ, slots))
+    rows = chain(
+        _source_rows(germ, order, source_min_degree), _pullback_rows(germ, order, slots)
+    )
     config = {"source_min_degree": source_min_degree}
     return TangentSpaceBasis(f"{KIND_FIBERED}-reduced", germ, order, rows, config)
 

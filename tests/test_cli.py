@@ -362,6 +362,17 @@ def test_envelope_fit_overflow_reports_null(capsys, tmp_path):
     check_schema(payload, "envelope")
 
 
+def test_envelope_fit_with_overflowing_denominator_reports_null(capsys, tmp_path):
+    # at 1e52 only sum(x**6) overflows; before, branch-0 read "c": 0.0
+    code, payload, _ = run_json(
+        capsys, "envelope", "--input", '{"u": "1 xi t^2"}', "--grid", "16",
+        "--domain", "1e52", "--out", str(tmp_path / "env.svg"),
+    )
+    assert code == EXIT_OK
+    assert [fit["c"] for fit in payload["fits"]] == [None, None]
+    check_schema(payload, "envelope")
+
+
 def test_envelope_determinant_overflow_is_malformed(capsys, tmp_path):
     # before, exit 0 with "no criminant in the window"
     out_path = tmp_path / "env.svg"

@@ -399,6 +399,15 @@ def test_fit_cubic_coefficient_rejects_a_fit_that_overflows():
         fit_cubic_coefficient(np.array([[1e60, 1e180], [-1e60, -1e180]]))
 
 
+def test_fit_cubic_coefficient_rejects_an_overflowing_denominator():
+    # sum(x**6) overflows while sum(x**3 * y) stays finite; before, c read 0.0
+    x = np.array([1e52, -1e52, 2e51])
+    pts = np.stack([x, 1e-100 * x], axis=1)
+    assert np.isfinite(np.sum(x**3 * pts[:, 1]))
+    with pytest.raises(ValueError, match="not finite"):
+        fit_cubic_coefficient(pts)
+
+
 # ---------------------------------------------------------------------------
 # deformations
 

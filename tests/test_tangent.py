@@ -6,11 +6,14 @@ row from the germ's text form and ranks with sympy's exact linear
 algebra.
 """
 
+import gc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_oracle import (
     parse_component,
@@ -21,8 +24,21 @@ from helpers_oracle import (
     T,
     XI,
 )
-from tanfam.families import double_umbrella_form, fold_form, probe_branch_index
-from tanfam.jets import SOURCE_VARS, MapGerm, TruncatedPoly, monomial_text
+from tanfam.families import (
+    double_umbrella_form,
+    family_from_invariants,
+    fold_form,
+    legendrian_parameterization,
+    probe_branch_index,
+)
+from tanfam.jets import (
+    SOURCE_VARS,
+    TARGET_VARS,
+    MapGerm,
+    TruncatedPoly,
+    monomial_basis,
+    monomial_text,
+)
 from tanfam.linalg import RowSpace, primitive_row
 from tanfam.tangent import (
     KIND_FIBERED,
@@ -30,6 +46,7 @@ from tanfam.tangent import (
     build_extended_tangent_space,
     build_reduced_tangent_space,
     contains_ideal_block,
+    flatten_triple,
     jet_sufficiency_step,
     miniversality_check,
 )
@@ -127,6 +144,148 @@ def test_provenance_tags_are_pinned(name):
     basis = pinned_space(name)
     assert basis.provenance == PINNED_PROVENANCE[name]
     assert len(basis.provenance) == basis.rank
+
+
+# ---------------------------------------------------------------------------
+# integer generators at the working order against Fraction jets at the cap
+
+SPACES = (KIND_FIBERED, KIND_FULL, "reduced")
+
+
+def build_space(germ, order, space):
+    if space == "reduced":
+        return build_reduced_tangent_space(germ, order)
+    return build_extended_tangent_space(germ, order, space)
+
+
+def fraction_generators(germ, order, space):
+    """Tagged generator triples as whole Fraction jets at the germ's cap:
+    monomial multiples of the partials, then pullbacks of target monomials
+    multiplied out from component powers, slot by slot."""
+    cap = germ.cap
+    comps = germ.components
+    zero = TruncatedPoly.zero(SOURCE_VARS, cap)
+    one = TruncatedPoly.constant(SOURCE_VARS, 1, cap)
+    for name in SOURCE_VARS:
+        partials = [comp.derive(name) for comp in comps]
+        for md in monomial_basis(2, 2 if space == "reduced" else 0, order):
+            mono = TruncatedPoly(SOURCE_VARS, cap, {md: 1})
+            yield f"d{name} * {monomial_text(md, SOURCE_VARS)}", [mono * p for p in partials]
+    if space == "reduced":
+        planar_sq, spatial_sq = monomial_basis(2, 2, order), monomial_basis(3, 2, order)
+        slots = ([(0, 1)] + planar_sq, [(1, 0)] + planar_sq, [(1, 0, 0), (0, 1, 0)] + spatial_sq)
+    else:
+        spatial = monomial_basis(3, 0, order)
+        planar = spatial if space == KIND_FULL else monomial_basis(2, 0, order)
+        slots = (planar, planar, spatial)
+    powers = [[one] for _ in comps]
+    for slot, monomials in enumerate(slots):
+        for md in monomials:
+            pulled = one
+            for i, e in enumerate(md):
+                while len(powers[i]) <= e:
+                    powers[i].append(powers[i][-1] * comps[i])
+                if e:
+                    pulled = pulled * powers[i][e]
+            triple = [zero, zero, zero]
+            triple[slot] = pulled
+            yield f"slot{slot + 1} <- {monomial_text(md, TARGET_VARS[: len(md)])}", triple
+
+
+def assert_matches_fraction_reference(germ, order, space):
+    basis = build_space(germ, order, space)
+    monomials = monomial_basis(2, 0, order)
+    columns = {
+        (slot, md): slot * len(monomials) + i
+        for slot in range(3)
+        for i, md in enumerate(monomials)
+    }
+    reference = RowSpace(3 * len(monomials))
+    provenance = [
+        tag
+        for tag, triple in fraction_generators(germ, order, space)
+        if reference.add(flatten_triple(triple, columns))
+    ]
+    assert basis.canonical_matrix() == reference.canonical_matrix(), (order, space)
+    assert list(basis.provenance) == provenance, (order, space)
+
+
+H_BRANCH_GERM = legendrian_parameterization(
+    family_from_invariants(0, Fraction(-39, 11), Fraction(-26, 11), cap=9)
+)
+
+
+REFERENCE_GERMS = {
+    "umbrella-1/5": (double_umbrella_form(Fraction(1, 5), 1, 8), SPACES),
+    # components with different denominators (11 and 7)
+    "umbrella-37/11": (double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10), SPACES),
+    "fold": (fold_form(8), SPACES),
+    "H-branch": (H_BRANCH_GERM, (KIND_FULL,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GERMS))
+def test_generators_match_fraction_reference_at_every_order(name):
+    germ, spaces = REFERENCE_GERMS[name]
+    for order in range(1, germ.cap):
+        for space in spaces:
+            assert_matches_fraction_reference(germ, order, space)
+
+
+_EXPONENTS = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: 1 <= sum(e) <= 5)
+_COMPONENTS = st.dictionaries(
+    _EXPONENTS, st.fractions(min_value=-4, max_value=4, max_denominator=9), max_size=4
+)
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(
+    st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS),
+    st.integers(1, 4),
+    st.sampled_from(SPACES),
+)
+def test_generators_match_fraction_reference_on_random_germs(comps, order, space):
+    germ = MapGerm([TruncatedPoly(SOURCE_VARS, 5, comp) for comp in comps])
+    assert_matches_fraction_reference(germ, order, space)
+
+
+def test_builders_make_no_jet_multiplication(monkeypatch):
+    germs = [double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10), H_BRANCH_GERM]
+    calls = []
+    multiply = TruncatedPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(TruncatedPoly, "__mul__", counted)
+    for germ in germs:
+        for order in (1, germ.cap - 1):
+            for space in SPACES:
+                build_space(germ, order, space)
+    assert calls == []
+    TruncatedPoly.constant(SOURCE_VARS, 2, 4) * TruncatedPoly.variable(SOURCE_VARS, "t", 4)
+    assert calls == [1]  # the counter sees a multiplication when there is one
+
+
+def test_builders_leave_no_reference_cycles():
+    # a cycle would keep each build's pullback memo alive until the cyclic
+    # collector ran, so peak memory would grow with the number of builds
+    germ = double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10)
+    gc.collect()
+    gc.disable()
+    try:
+        for space in SPACES:
+            build_space(germ, 9, space).canonical_matrix()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_builders_refuse_germs_in_other_variables():
+    x = TruncatedPoly.variable(("u", "v"), "u", 4)
+    with pytest.raises(ValueError, match="germs in"):
+        build_extended_tangent_space(MapGerm((x, x * x, x * x * x)), 2)
 
 
 def reference_cells(basis):
