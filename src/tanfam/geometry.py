@@ -264,15 +264,21 @@ def as_planar_map(target) -> PlanarMap:
 def jacobian_det(f) -> tuple[TruncatedPoly, Callable]:
     """Exact Jacobian determinant of a planar jet map, plus a float evaluator.
 
-    The exact form multiplies first derivatives, so it is trustworthy up
-    to one degree below the cap of the inputs.  Three-component germs are
-    projected to their first two components first.
+    Both halves are the determinant of the polynomial map the two jets
+    define, untruncated: for inputs at cap N the first derivatives have
+    degree <= N - 1, so the exact form is computed at cap max(1, 2N - 2),
+    where no product term is dropped.  Three-component germs are projected
+    to their first two components first.
     """
     if isinstance(f, MapGerm):
         f = f.planar_projection().components
     p1, p2 = f[0], f[1]
-    det = p1.derive("xi") * p2.derive("t") - p1.derive("t") * p2.derive("xi")
+    if p1.cap != p2.cap:
+        raise ValueError(f"degree caps differ: {p1.cap} vs {p2.cap}")
     planar = PlanarMap.from_polys(p1, p2)
+    cap = max(1, 2 * p1.cap - 2)
+    p1, p2 = p1.with_cap(cap), p2.with_cap(cap)
+    det = p1.derive("xi") * p2.derive("t") - p1.derive("t") * p2.derive("xi")
     return det, planar.det
 
 

@@ -2,14 +2,22 @@
 
 A jet is a polynomial with exact rational coefficients in a fixed ordered
 variable tuple, truncated at a total-degree cap N: every operation discards
-all monomials of total degree greater than N.  The coefficient table is a
-dictionary mapping exponent tuples to Fractions,
+all monomials of total degree greater than N.  It is stored as integer
+numerators over one positive common denominator,
 
-    xi*t^2 + 3  ->  {(1, 2): Fraction(1), (0, 0): Fraction(3)}
+    xi*t^2/2 + 3  ->  numerators {(1, 2): 1, (0, 0): 6}, denominator 2
 
-kept in canonical sparse form (no zero coefficients, no exponent tuple
-above the cap).  Two canonical jets over the same variables are equal iff
-their tables are equal.
+in canonical form: no zero numerator, no exponent tuple above the cap, and
+the gcd of the denominator and all numerators is 1 (the zero jet has
+denominator 1).  Two jets over the same variables are equal iff their
+denominators and numerator tables are equal; the cap is not compared.
+coefficient() and terms() hand out Fractions.
+
+All arithmetic runs on integer tables (exponents -> nonzero int) through
+two kernels, truncated_product and partial_derivative, and monomial
+pullbacks are memoized products (pullback).  The tangent-space builders
+call the same kernels on numerators taken over one shared denominator
+(shared_numerators), so there is one implementation of each.
 
 The global monomial order is graded lexicographic with the first variable
 dominant: monomials sort by total degree, and within a degree the power of
@@ -28,6 +36,8 @@ must cap their working degree at N-1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
 SOURCE_VARS = ("xi", "t")
@@ -43,6 +53,8 @@ MODE_BEAKS = "beaks"
 
 Exponents = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
+# Integer numerators of a jet: exponents -> nonzero int.
+IntTable = dict[Exponents, int]
 
 _VAR_ALIASES = {"ξ": "xi", "τ": "t"}
 
@@ -99,10 +111,70 @@ def monomial_text(exponents: Exponents, variables: Sequence[str]) -> str:
     return " ".join(parts) if parts else "1"
 
 
+def truncated_product(a: IntTable, b: IntTable, order: int) -> IntTable:
+    """a * b with the terms of total degree > order dropped."""
+    out: IntTable = {}
+    for ea, va in a.items():
+        room = order - sum(ea)
+        for eb, vb in b.items():
+            if sum(eb) <= room:
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
+
+
+def partial_derivative(table: IntTable, index: int) -> IntTable:
+    """Formal partial derivative in the variable at index."""
+    return {
+        e[:index] + (e[index] - 1,) + e[index + 1 :]: v * e[index]
+        for e, v in table.items()
+        if e[index]
+    }
+
+
+def pullback(
+    md: Exponents, memo: dict[Exponents, IntTable], comps: Sequence[IntTable], order: int
+) -> IntTable:
+    """The product of comps[i]^md[i] truncated at order, memoized in memo
+    (which holds the zero tuple), as pull(md / v) * comps[v] for the last
+    variable v of md.
+
+    A module function, not a closure over memo: a recursive closure is a
+    reference cycle, which would keep the memo alive until the cyclic
+    garbage collector ran.
+    """
+    table = memo.get(md)
+    if table is None:
+        i = max(k for k, e in enumerate(md) if e)
+        lower = pullback(md[:i] + (md[i] - 1,) + md[i + 1 :], memo, comps, order)
+        table = memo[md] = truncated_product(lower, comps[i], order)
+    return table
+
+
+def shared_numerators(polys: Sequence[TruncatedPoly], order: int) -> tuple[int, list[IntTable]]:
+    """One positive common denominator d of polys, and each poly times d as
+    an integer table, truncated at order."""
+    den = lcm(*(p._den for p in polys))
+    return den, [
+        {e: v * (den // p._den) for e, v in p._num.items() if sum(e) <= order} for p in polys
+    ]
+
+
+def _canonical(variables: tuple[str, ...], cap: int, num: IntTable, den: int) -> TruncatedPoly:
+    """The canonical jet num / den (nonzero numerators of degree <= cap, den > 0)."""
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {e: v // g for e, v in num.items()}
+        den //= g
+    jet = object.__new__(TruncatedPoly)
+    jet._vars, jet._cap, jet._num, jet._den, jet._hash = variables, cap, num, den, None
+    return jet
+
+
 class TruncatedPoly:
     """A polynomial jet: exact coefficients, fixed variables, total-degree cap."""
 
-    __slots__ = ("_vars", "_cap", "_coeffs", "_hash")
+    __slots__ = ("_vars", "_cap", "_num", "_den", "_hash")
 
     def __init__(
         self,
@@ -129,9 +201,12 @@ class TruncatedPoly:
             value = as_fraction(raw)
             if value != 0:
                 table[exponents] = value
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        den = lcm(*(v.denominator for v in table.values()))
         self._vars = variables
         self._cap = cap
-        self._coeffs = table
+        self._num = {e: v.numerator * (den // v.denominator) for e, v in table.items()}
+        self._den = den
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -204,23 +279,21 @@ class TruncatedPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def degree(self) -> int:
         """Max total degree of a stored term; -1 for the zero jet."""
-        if not self._coeffs:
-            return -1
-        return max(sum(e) for e in self._coeffs)
+        return max((sum(e) for e in self._num), default=-1)
 
     def coefficient(self, exponents: Exponents) -> Fraction:
-        return self._coeffs.get(tuple(exponents), Fraction(0))
+        return Fraction(self._num.get(tuple(exponents), 0), self._den)
 
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Stored terms sorted in the global monomial order."""
-        return sorted(self._coeffs.items(), key=lambda item: grlex_key(item[0]))
+        return [(e, Fraction(self._num[e], self._den)) for e in sorted(self._num, key=grlex_key)]
 
     def constant_term(self) -> Fraction:
-        return self._coeffs.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -234,10 +307,10 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        table = dict(self._coeffs)
-        for exponents, value in other._coeffs.items():
-            table[exponents] = table.get(exponents, Fraction(0)) + value
-        return TruncatedPoly(self._vars, self._cap, table)
+        den, (num, more) = shared_numerators((self, other), self._cap)
+        for exponents, value in more.items():
+            num[exponents] = num.get(exponents, 0) + value
+        return _canonical(self._vars, self._cap, {e: v for e, v in num.items() if v}, den)
 
     def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         if not isinstance(other, TruncatedPoly):
@@ -245,27 +318,16 @@ class TruncatedPoly:
         return self + (-other)
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(
-            self._vars, self._cap, {e: -v for e, v in self._coeffs.items()}
-        )
+        return _canonical(self._vars, self._cap, {e: -v for e, v in self._num.items()}, self._den)
 
     def __mul__(self, other: "TruncatedPoly | RationalLike") -> "TruncatedPoly":
         if isinstance(other, TruncatedPoly):
             self._check_compatible(other)
-            cap = self._cap
-            table: dict[Exponents, Fraction] = {}
-            for ea, va in self._coeffs.items():
-                da = sum(ea)
-                for eb, vb in other._coeffs.items():
-                    if da + sum(eb) > cap:
-                        continue
-                    exponents = tuple(a + b for a, b in zip(ea, eb))
-                    table[exponents] = table.get(exponents, Fraction(0)) + va * vb
-            return TruncatedPoly(self._vars, cap, table)
+            num = truncated_product(self._num, other._num, self._cap)
+            return _canonical(self._vars, self._cap, num, self._den * other._den)
         scalar = as_fraction(other)
-        return TruncatedPoly(
-            self._vars, self._cap, {e: v * scalar for e, v in self._coeffs.items()}
-        )
+        num = {e: v * scalar.numerator for e, v in self._num.items()} if scalar else {}
+        return _canonical(self._vars, self._cap, num, self._den * scalar.denominator)
 
     def __rmul__(self, other: RationalLike) -> "TruncatedPoly":
         return self * other
@@ -295,36 +357,30 @@ class TruncatedPoly:
         name = _VAR_ALIASES.get(name, name)
         if name not in self._vars:
             raise ValueError(f"unknown variable {name!r}; have {self._vars}")
-        index = self._vars.index(name)
-        table: dict[Exponents, Fraction] = {}
-        for exponents, value in self._coeffs.items():
-            power = exponents[index]
-            if power == 0:
-                continue
-            lowered = exponents[:index] + (power - 1,) + exponents[index + 1 :]
-            table[lowered] = table.get(lowered, Fraction(0)) + value * power
-        return TruncatedPoly(self._vars, self._cap, table)
+        num = partial_derivative(self._num, self._vars.index(name))
+        return _canonical(self._vars, self._cap, num, self._den)
 
     def jet(self, order: int) -> "TruncatedPoly":
         """Drop all terms of total degree > order (total function: clamps)."""
-        if order >= self._cap:
-            return self
-        if order < 0:
-            return TruncatedPoly.zero(self._vars, self._cap)
-        table = {e: v for e, v in self._coeffs.items() if sum(e) <= order}
-        return TruncatedPoly(self._vars, self._cap, table)
+        return self if order >= self._cap else self._truncated(self._cap, order)
 
     def with_cap(self, cap: int) -> "TruncatedPoly":
         """Reinterpret at a new cap, discarding terms above it."""
-        return TruncatedPoly(self._vars, cap, self._coeffs)
+        if cap < 1:
+            raise ValueError(f"degree cap must be >= 1, got {cap}")
+        return self._truncated(cap, cap)
+
+    def _truncated(self, cap: int, order: int) -> "TruncatedPoly":
+        num = {e: v for e, v in self._num.items() if sum(e) <= order}
+        return _canonical(self._vars, cap, num, self._den)
 
     def evaluate(self, values: Sequence) -> Fraction | float:
         """Evaluate at a point; exact when all inputs are Fraction/int."""
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         total = 0
-        for exponents, coeff in self._coeffs.items():
-            term = coeff
+        for exponents, value in self._num.items():
+            term = Fraction(value, self._den)
             for power, v in zip(exponents, values):
                 if power:
                     term = term * v**power
@@ -338,16 +394,16 @@ class TruncatedPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self._vars == other._vars and self._coeffs == other._coeffs
+        return self._vars == other._vars and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._vars, frozenset(self._coeffs.items())))
+            self._hash = hash((self._vars, self._den, frozenset(self._num.items())))
         return self._hash
 
     def to_text(self) -> str:
         """Canonical text form: terms in the global monomial order."""
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
         for exponents, coeff in self.terms():
@@ -380,24 +436,18 @@ def compose(g: TruncatedPoly, components: "Sequence[TruncatedPoly] | MapGerm") -
         if comp.constant_term() != 0:
             raise ValueError("composition requires components vanishing at the origin")
     cap = base.cap
-    # Powers of each component, filled on demand up to the largest exponent used.
-    powers: list[list[TruncatedPoly]] = [
-        [TruncatedPoly.constant(base.variables, 1, cap)] for _ in comps
-    ]
-
-    def power(i: int, n: int) -> TruncatedPoly:
-        while len(powers[i]) <= n:
-            powers[i].append(powers[i][-1] * comps[i])
-        return powers[i][n]
-
-    result = TruncatedPoly.zero(base.variables, cap)
-    for exponents, coeff in g.terms():
-        term = TruncatedPoly.constant(base.variables, coeff, cap)
-        for i, e in enumerate(exponents):
-            if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+    # Over the shared denominator s of the components, the pullback of a
+    # monomial of degree d is s^d times the true one; top evens them out.
+    scale, tables = shared_numerators(comps, cap)
+    top = max(g.degree(), 0)
+    memo: dict[Exponents, IntTable] = {(0,) * g.nvars: {(0,) * base.nvars: 1}}
+    num: IntTable = {}
+    for exponents, value in g._num.items():
+        factor = value * scale ** (top - sum(exponents))
+        for md, w in pullback(exponents, memo, tables, cap).items():
+            num[md] = num.get(md, 0) + factor * w
+    nonzero = {md: v for md, v in num.items() if v}
+    return _canonical(base.variables, cap, nonzero, g._den * scale**top)
 
 
 class MapGerm:
@@ -502,9 +552,11 @@ def _parse_term(term: str, variables: tuple[str, ...]) -> tuple[Fraction, list[i
     exponents = [0] * len(variables)
     seen_coeff = False
     for token in tokens:
-        name, _, power_text = token.partition("^")
+        name, caret, power_text = token.partition("^")
         if name in variables:
-            power = int(power_text) if power_text else 1
+            if caret and not power_text:
+                raise ValueError(f"empty exponent in term {term!r}")
+            power = int(power_text) if caret else 1
             if power < 0:
                 raise ValueError(f"negative exponent in term {term!r}")
             exponents[variables.index(name)] += power

@@ -19,16 +19,15 @@ the one all shipped checks use.
 
 Every space is truncated at a working order W <= cap - 1 (the cap-degree
 terms of the derivatives of f are not trustworthy).  Generators are built
-in integer arithmetic at W, not in Fraction jets at the cap:
+on integer tables with the kernels of jets, on the germ's numerators over
+one shared denominator s (shared_numerators), truncated at W:
 
-- the components are scaled once by one common positive integer s, the
-  lcm of all their denominators;
-- the pullback of a target monomial m of degree d is then s^d times the
-  true one, and is formed as pull(m / v) * f_v, with v the last variable
-  of m, memoized per build and multiplied with terms above W dropped;
-- a source generator multiplies the partials of the scaled components
-  (taken at W + 1, then differentiated), which are s times the true ones
-  in all three slots alike, by a monomial: an exponent shift.
+- the pullback of a target monomial m of degree d is s^d times the true
+  one: pullback forms it as pull(m / v) * f_v, with v the last variable
+  of m, memoized per build, through truncated_product;
+- a source generator shifts the exponents of a partial_derivative of the
+  numerators taken at W + 1, which is s times the true partial in all
+  three slots alike, by its multiplier monomial.
 
 So every row is a positive multiple of the true generator's row, and
 primitive_row is invariant under nonzero scaling.  Truncation drops only
@@ -57,30 +56,28 @@ block checks, caps and branch probes alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from tanfam.jets import (
     SOURCE_VARS,
     TARGET_VARS,
     Exponents,
+    IntTable,
     MapGerm,
     TruncatedPoly,
     monomial_basis,
     monomial_text,
+    partial_derivative,
+    pullback,
+    shared_numerators,
 )
 from tanfam.linalg import RowSpace, SparseRow, primitive_row
 
 JetTriple = tuple[TruncatedPoly, TruncatedPoly, TruncatedPoly]
-# An integer jet in the source variables: exponents -> nonzero int, and
-# the same as a term list (degree, exponents, value) by ascending degree.
-IntJet = dict[Exponents, int]
-IntTerms = list[tuple[int, Exponents, int]]
 # A generator: its provenance tag, unformatted as (prefix, monomial,
-# variable names), and its slots as (slot, integer jet) pairs.
-Generator = tuple[tuple[str, Exponents, Sequence[str]], tuple[tuple[int, IntJet], ...]]
+# variable names), and its slots as (slot, integer table) pairs.
+Generator = tuple[tuple[str, Exponents, Sequence[str]], tuple[tuple[int, IntTable], ...]]
 
 KIND_FIBERED = "A-star"
 KIND_FULL = "A"
@@ -128,91 +125,39 @@ def flatten_triple(
     Terms whose monomial has no column (above the working order) are
     dropped.
     """
-    row: dict[int, Fraction] = {}
-    for slot, comp in enumerate(triple):
-        for md, value in comp.terms():
+    _, tables = shared_numerators(triple, max(comp.cap for comp in triple))
+    row: SparseRow = {}
+    for slot, table in enumerate(tables):
+        for md, value in table.items():
             j = columns.get((slot, md))
             if j is not None:
                 row[j] = value
     return primitive_row(row)
 
 
-def _integer_components(germ: MapGerm, order: int) -> list[IntTerms]:
-    """The germ's components times one common positive integer (the lcm of
-    all their denominators), truncated at order."""
-    terms = [comp.terms() for comp in germ.components]
-    scale = lcm(*(value.denominator for comp in terms for _, value in comp))
-    return [
-        [
-            (sum(md), md, value.numerator * (scale // value.denominator))
-            for md, value in comp
-            if sum(md) <= order
-        ]
-        for comp in terms
-    ]
-
-
-def _truncated_product(a: IntJet, b: IntTerms, order: int) -> IntJet:
-    """a * b with the terms of degree > order dropped."""
-    out: IntJet = {}
-    for (i, j), va in a.items():
-        room = order - i - j
-        for degree, (k, l), vb in b:
-            if degree > room:
-                break
-            md = (i + k, j + l)
-            out[md] = out.get(md, 0) + va * vb
-    return {md: value for md, value in out.items() if value}
-
-
-def _pullback(
-    md: Exponents, pulled: dict[Exponents, IntJet], comps: list[IntTerms], order: int
-) -> IntJet:
-    """The pullback of the target monomial md, memoized in pulled, as
-    pull(md / v) * comps[v] for the last variable v of md.
-
-    A module function, not a closure over pulled: a recursive closure is a
-    reference cycle, which would keep each build's memo alive until the
-    cyclic garbage collector ran.
-    """
-    jet = pulled.get(md)
-    if jet is None:
-        i = max(k for k, e in enumerate(md) if e)
-        lower = _pullback(md[:i] + (md[i] - 1,) + md[i + 1 :], pulled, comps, order)
-        jet = pulled[md] = _truncated_product(lower, comps[i], order)
-    return jet
-
-
 def _pullback_rows(
     germ: MapGerm, order: int, slot_monomials: Sequence[Sequence[Exponents]]
 ) -> Iterator[Generator]:
-    comps = _integer_components(germ, order)
+    _, comps = shared_numerators(germ.components, order)
     # Pullbacks of target monomials (padded to x, y, z), shared by the slots.
-    pulled: dict[Exponents, IntJet] = {(0, 0, 0): {(0, 0): 1}}
+    pulled: dict[Exponents, IntTable] = {(0, 0, 0): {(0, 0): 1}}
     for slot, monomials in enumerate(slot_monomials):
         prefix = f"slot{slot + 1} <- "
         for md in monomials:
-            jet = _pullback(md + (0,) * (3 - len(md)), pulled, comps, order)
+            jet = pullback(md + (0,) * (3 - len(md)), pulled, comps, order)
             yield (prefix, md, TARGET_VARS[: len(md)]), ((slot, jet),)
 
 
 def _source_rows(germ: MapGerm, order: int, min_multiplier_degree: int) -> Iterator[Generator]:
-    comps = _integer_components(germ, order + 1)
+    _, comps = shared_numerators(germ.components, order + 1)
     for index, name in enumerate(SOURCE_VARS):
-        partials = [
-            [
-                (degree - 1, md[:index] + (md[index] - 1,) + md[index + 1 :], value * md[index])
-                for degree, md, value in comp
-                if md[index]
-            ]
-            for comp in comps
-        ]
+        partials = [partial_derivative(comp, index) for comp in comps]
         prefix = f"d{name} * "
         for i, j in monomial_basis(2, min_multiplier_degree, order):
             room = order - i - j
             shifted = tuple(
-                (slot, {(k + i, l + j): v for degree, (k, l), v in terms if degree <= room})
-                for slot, terms in enumerate(partials)
+                (slot, {(k + i, l + j): v for (k, l), v in table.items() if k + l <= room})
+                for slot, table in enumerate(partials)
             )
             yield (prefix, (i, j), SOURCE_VARS), shifted
 

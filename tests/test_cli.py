@@ -105,6 +105,7 @@ def test_classify_not_tangential_is_a_verdict(capsys):
         '{"u": null}',
         '{"u": ["1 t^2"]}',
         '{"k0": 0, "k1": 1, "alpha": 2, "higher": 5}',
+        '{"u": "1 t^2 + 1 xi^ t^3"}',  # empty exponent, once read as xi t^3
     ],
 )
 def test_classify_malformed_inputs(capsys, raw):

@@ -42,6 +42,13 @@ T = TruncatedPoly.variable(SOURCE_VARS, "t", 8)
 
 TYPE_I = MapGerm((XI + T, T * T))
 TYPE_II = MapGerm((XI + T, T * T * XI))
+# det = 2 t + 2 xi^4 t - 20 xi^3 t^6, of degree 9 > cap 8
+HIGH_DEGREE = MapGerm(
+    (
+        TruncatedPoly.from_text(SOURCE_VARS, "1 xi + 1 t^5"),
+        TruncatedPoly.from_text(SOURCE_VARS, "1 t^2 + 1 xi^4 t^2"),
+    )
+)
 # det = xi^2 + t^2 - 1/4: the criminant is the circle of radius 1/2
 CIRCLE = MapGerm((XI, TruncatedPoly.from_text(SOURCE_VARS, "1/3 t^3 + 1 xi^2 t + -1/4 t", 8)))
 BEAKS_FRAME = apply_deformation(
@@ -210,13 +217,18 @@ def test_jacobian_det_exact_forms():
     # three-component germs are projected first
     det3, _ = jacobian_det(fold_form(8))
     assert det3 == TruncatedPoly.from_text(SOURCE_VARS, "2 t")
+    # the determinant is not truncated at the cap of its inputs
+    det4, _ = jacobian_det(HIGH_DEGREE)
+    assert det4.coefficient((3, 6)) == -20
+    assert det4 == TruncatedPoly.from_text(SOURCE_VARS, "2 t + 2 xi^4 t + -20 xi^3 t^6", 14)
 
 
 def test_jacobian_det_evaluator_matches_exact():
-    det, evaluate = jacobian_det(TYPE_II)
-    for xi, t in [(0.3, -0.7), (0.0, 0.5), (-1.0, 1.0)]:
-        exact = float(det.evaluate((Fraction(str(xi)), Fraction(str(t)))))
-        assert evaluate(xi, t) == pytest.approx(exact, abs=1e-12)
+    for target in (TYPE_II, HIGH_DEGREE):
+        det, evaluate = jacobian_det(target)
+        for xi, t in [(0.3, -0.7), (0.0, 0.5), (-1.0, 1.0), (0.7, 0.9)]:
+            exact = float(det.evaluate((Fraction(str(xi)), Fraction(str(t)))))
+            assert evaluate(xi, t) == pytest.approx(exact, abs=1e-12)
 
 
 def test_jacobian_matches_finite_differences():

@@ -19,6 +19,7 @@ from tanfam.jets import (
     monomial_basis,
     monomial_text,
 )
+from tanfam.selfcheck import DEFAULT_ORACLE_ORDER, _dict_derive, _dict_mul, _dict_truncate
 
 
 def p(text, cap=DEFAULT_CAP):
@@ -160,6 +161,11 @@ def test_parse_rejects_garbage():
         p("xi^-1")
     with pytest.raises(ZeroDivisionError):
         p("1/0 t^2")
+    # an empty exponent is an error, not a first power
+    with pytest.raises(ValueError, match=re.escape("empty exponent in term '1 xi^ t^3'")):
+        p("1 t^2 + 1 xi^ t^3")
+    with pytest.raises(ValueError, match="empty exponent"):
+        p("1 t^")
 
 
 @pytest.mark.parametrize(
@@ -255,6 +261,71 @@ def test_equality_and_hash():
     assert p("1 xi") != p("1 t")
     # caps do not enter equality, only variables and coefficients
     assert p("1 xi") == p("1 xi", cap=5).with_cap(8)
+
+
+# The caps the selfcheck suites run at: the rank oracle's and the algebra suites'.
+SELFCHECK_CAPS = (DEFAULT_ORACLE_ORDER + 1, DEFAULT_CAP)
+
+
+def fraction_tables(nvars, cap, low=0):
+    exponents = st.tuples(*[st.integers(0, cap)] * nvars).filter(lambda e: low <= sum(e) <= cap)
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    return st.dictionaries(exponents, values, max_size=4)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(st.data(), st.sampled_from((SOURCE_VARS, TARGET_VARS)), st.sampled_from(SELFCHECK_CAPS))
+def test_integer_numerators_match_fraction_reference(data, variables, cap):
+    """Every operation against plain Fraction dicts, and one canonical form
+    (so equality and hash) whatever path built a jet."""
+    n = len(variables)
+    a, b = (data.draw(fraction_tables(n, cap)) for _ in range(2))
+    comps = [data.draw(fraction_tables(n, cap, low=1)) for _ in range(n)]
+    scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    f, g = TruncatedPoly(variables, cap, a), TruncatedPoly(variables, cap, b)
+
+    def same(jet, table, jet_cap=cap):
+        expected = TruncatedPoly(variables, jet_cap, table)
+        assert dict(jet.terms()) == {e: v for e, v in table.items() if v}
+        assert jet.cap == jet_cap
+        assert jet == expected and hash(jet) == hash(expected)
+
+    same(f + g, {e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()})
+    same(f - g, {e: a.get(e, 0) - b.get(e, 0) for e in a.keys() | b.keys()})
+    same(f * g, _dict_mul(a, b, cap))
+    same(f * scalar, {e: v * scalar for e, v in a.items()})
+    power, reference = data.draw(st.integers(0, 3)), {(0,) * n: Fraction(1)}
+    for _ in range(power):
+        reference = _dict_mul(reference, a, cap)
+    same(f**power, reference)
+    for index, name in enumerate(variables):
+        same(f.derive(name), _dict_derive(a, index))
+    order = data.draw(st.integers(-1, cap + 1))
+    same(f.jet(order), _dict_truncate(a, order))
+    new_cap = data.draw(st.integers(1, cap + 2))
+    same(f.with_cap(new_cap), _dict_truncate(a, new_cap), new_cap)
+    composed: dict = {}
+    for exponents, value in a.items():
+        term = {(0,) * n: value}
+        for comp, e in zip(comps, exponents):
+            for _ in range(e):
+                term = _dict_mul(term, comp, cap)
+        for md, v in term.items():
+            composed[md] = composed.get(md, 0) + v
+    same(compose(f, [TruncatedPoly(variables, cap, c) for c in comps]), composed)
+
+    zero = TruncatedPoly.zero(variables, cap)
+    for left, right in [
+        ((2 * f) * Fraction(1, 2), f),
+        (f - f, zero),
+        (f * 0, zero),
+        (f + f, 2 * f),
+        (TruncatedPoly.from_text(variables, f.to_text(), cap), f),
+        ((f * scalar) * g, f * (g * scalar)),
+    ]:
+        assert left == right and hash(left) == hash(right)
+    with pytest.raises(ValueError):
+        f.with_cap(0)
 
 
 # ---------------------------------------------------------------------------
