@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -89,19 +90,30 @@ class CLIError(Exception):
     """Content-level problem with the invocation; maps to exit 1."""
 
 
-def _parse_domain(text: str | None, resolution: int) -> geometry.GridSpec:
+def _parse_domain(text: str | None) -> tuple[float, float, float, float]:
+    """(xi_min, xi_max, t_min, t_max) of --domain, checked as GridSpec checks it.
+
+    The checks run here, before the float layer loads, so a bad --domain
+    exits 1 on every command without importing numpy.  Their messages are
+    GridSpec's, so the error line does not depend on where it was found.
+    """
     if text is None:
-        return geometry.GridSpec.square(1.0, resolution)
+        return (-1.0, 1.0, -1.0, 1.0)
     parts = [p.strip() for p in text.split(",")]
+    if len(parts) not in (1, 4):
+        raise CLIError("--domain takes a half-width or 'ximin,ximax,tmin,tmax'")
     try:
-        if len(parts) == 1:
-            return geometry.GridSpec.square(float(parts[0]), resolution)
-        if len(parts) == 4:
-            lo_xi, hi_xi, lo_t, hi_t = (float(p) for p in parts)
-            return geometry.GridSpec(lo_xi, hi_xi, lo_t, hi_t, resolution, resolution)
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise CLIError(f"bad --domain value {text!r}: {exc}") from exc
-    raise CLIError("--domain takes a half-width or 'ximin,ximax,tmin,tmax'")
+    bounds = (-values[0], values[0], -values[0], values[0]) if len(values) == 1 else tuple(values)
+    if not all(math.isfinite(bound) for bound in bounds):
+        problem = "grid rectangle bounds must be finite"
+    elif not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        problem = "grid rectangle is degenerate"
+    else:
+        return bounds
+    raise CLIError(f"bad --domain value {text!r}: {problem}")
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
@@ -131,10 +143,10 @@ def _load_input(text: str) -> dict:
 def _check_args(args: argparse.Namespace) -> None:
     """Resolve and check every setting in place, before any command runs.
 
-    Afterwards ``grid`` is a GridSpec for envelope and sweep, or when
-    --domain is given; otherwise it stays the checked samples per axis,
-    so the exact commands never load the float layer.  ``data`` holds
-    the parsed --input, ``lambdas`` is a tuple or None (the library
+    Afterwards ``grid`` is a GridSpec for envelope and sweep; otherwise
+    it stays the checked samples per axis, so the exact commands never
+    load the float layer (a given --domain is still checked).  ``data``
+    holds the parsed --input, ``lambdas`` is a tuple or None (the library
     default), ``order`` is the working order (None lets classify use
     cap - 1) and ``out`` is a Path, or None where the payload goes to
     stdout.
@@ -143,8 +155,9 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
     if args.cap > MAX_CAP:
         raise CLIError(f"--cap takes at most {MAX_CAP}")
-    if args.command in ("envelope", "sweep") or args.domain is not None:
-        args.grid = _parse_domain(args.domain, args.grid)
+    bounds = _parse_domain(args.domain)
+    if args.command in ("envelope", "sweep"):
+        args.grid = geometry.GridSpec(*bounds, args.grid, args.grid)
     if hasattr(args, "input"):
         args.data = _load_input(args.input)
     if getattr(args, "lambdas", None) is not None:

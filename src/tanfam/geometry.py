@@ -182,11 +182,14 @@ def _derive_array(c: np.ndarray, axis: int) -> np.ndarray:
     return c[:, 1:] * factors[None, :]
 
 
-def _evaluate(c: np.ndarray, xi, t) -> np.ndarray:
+def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray:
     """sum c[i, j] xi^i t^j at (xi, t) broadcast together, Horner in xi then t.
 
-    Scattered points (equal shapes) and open meshes (GridSpec.mesh) both
-    work; per sample the operations are those of numpy's polyval2d.
+    Scattered points (equal shapes), open meshes (GridSpec.mesh) and
+    Python-float scalars all work; per sample the operations are those of
+    numpy's polyval2d.  The result goes into out when given (it must have
+    the broadcast shape of xi and t), else into a new array; a scalar
+    result comes back as a numpy scalar.
 
     Evaluation runs at the true degree: trailing rows and columns whose
     entries are all +0.0 are dropped first (keeping at least one of each),
@@ -198,12 +201,26 @@ def _evaluate(c: np.ndarray, xi, t) -> np.ndarray:
     c + x * 0.  numpy's start c[-1] + x * 0 also keeps the broadcast shape
     when a single row or column is left.  A -0.0 entry counts as nonzero,
     since it can turn the accumulator negative.
+
+    The xi pass is numpy's polyval on the small coefficient array.  The t
+    pass, over the full grid, runs in the one result buffer: it starts at
+    inner[-1] + t * 0 and then steps acc = inner[-k] + acc * t in place.
+    That is numpy's own step c[-k] + c0 * x with the same two roundings per
+    sample (one product, one sum; IEEE sums and products are commutative),
+    so the bits are those of polyval(t, inner, tensor=False), without a
+    new grid-sized array at every step.
     """
     kept = (c != 0) | np.signbit(c)
     rows = np.flatnonzero(kept.any(axis=1))
     cols = np.flatnonzero(kept.any(axis=0))
     c = c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
-    return polyval(t, polyval(xi, c), tensor=False)
+    inner = polyval(xi, c)
+    acc = np.empty(np.broadcast_shapes(np.shape(xi), np.shape(t))) if out is None else out
+    np.add(inner[-1], t * 0, out=acc)
+    for k in range(2, len(inner) + 1):
+        np.multiply(acc, t, out=acc)
+        np.add(inner[-k], acc, out=acc)
+    return acc[()]  # a 0-d result becomes a numpy scalar, as from polyval
 
 
 class PlanarMap:
@@ -244,8 +261,19 @@ class PlanarMap:
         )
 
     def det(self, xi, t) -> np.ndarray:
-        j11, j12, j21, j22 = self.jacobian(xi, t)
-        return j11 * j22 - j12 * j21
+        """j11 * j22 - j12 * j21 with the same roundings, in three grids.
+
+        j12 is evaluated into j22's buffer once j11 * j22 is formed.
+        """
+        shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
+        det, other = np.empty(shape), np.empty(shape)
+        _evaluate(self._d1_xi, xi, t, out=det)
+        _evaluate(self._d2_t, xi, t, out=other)
+        np.multiply(det, other, out=det)
+        _evaluate(self._d1_t, xi, t, out=other)
+        np.multiply(other, _evaluate(self._d2_xi, xi, t), out=other)
+        np.subtract(det, other, out=det)
+        return det[()]
 
 
 def as_planar_map(target) -> PlanarMap:
@@ -324,13 +352,40 @@ class _OpenCurve:
 # Case index bits: 1 = corner (i, j), 2 = (i+1, j), 4 = (i+1, j+1),
 # 8 = (i, j+1), set when the value there is >= 0.  Row c names the two
 # cell edges crossed by the one segment of case c, as columns of the edge
-# offsets in _march: 0 = left (xi = xi_i), 1 = right (xi = xi_{i+1}),
-# 2 = bottom (t = t_j), 3 = top (t = t_{j+1}).  Cases 0 and 15 cross
-# nothing; the ambiguous cases 5 and 10 get no segment.
+# offsets in _cell_segments: 0 = left (xi = xi_i), 1 = right
+# (xi = xi_{i+1}), 2 = bottom (t = t_j), 3 = top (t = t_{j+1}).  Cases 0
+# and 15 cross nothing; the ambiguous cases 5 and 10 get no segment.
 _CASE_EDGES = np.array(
     [(0, 0), (2, 0), (2, 1), (0, 1), (1, 3), (0, 0), (2, 3), (0, 3),
      (0, 3), (2, 3), (0, 0), (1, 3), (0, 1), (2, 1), (2, 0), (0, 0)]
 )
+
+
+def _cell_segments(values: np.ndarray) -> tuple[np.ndarray, set[int]]:
+    """Edge-id pairs of the crossing cells' segments, and the ambiguous edges.
+
+    Rows of the first result come in row-major cell order; the set holds
+    the four edges of every ambiguous cell.  Edge ids are those of _march.
+
+    The crossing cells (cases 1-14) are found in one pass over the flat
+    uint8 case array: case - 1 wraps case 0 to 255, so (case - 1) < 14
+    holds for exactly those cases.  flatnonzero lists the cells of the
+    C-ordered (N-1) x (M-1) case array in row-major order, the order of a
+    2-D nonzero, and divmod by M - 1 gives back (i, j).  The split into
+    ambiguous and segment cells is a mask over that short list, which
+    keeps its order.
+    """
+    n, m = values.shape
+    signs = (values >= 0.0).astype(np.uint8)
+    case = signs[:-1, :-1] | signs[1:, :-1] << 1 | signs[1:, 1:] << 2 | signs[:-1, 1:] << 3
+    cells = np.flatnonzero((case - 1) < 14)
+    kinds = case.ravel()[cells]
+    i, j = np.divmod(cells, m - 1)
+    corner = i * m + j
+    offsets = np.array([0, m, n * m, n * m + 1])
+    ambiguous = (kinds == 5) | (kinds == 10)
+    segments = corner[~ambiguous][:, None] + offsets[_CASE_EDGES[kinds[~ambiguous]]]
+    return segments, set((corner[ambiguous][:, None] + offsets).ravel().tolist())
 
 
 def _march(values: np.ndarray, xi: np.ndarray, t: np.ndarray) -> list[_OpenCurve]:
@@ -345,16 +400,14 @@ def _march(values: np.ndarray, xi: np.ndarray, t: np.ndarray) -> list[_OpenCurve
     on one of their edges gets a loose end for node repair.  Paths come
     first, ordered by their lower end, then cycles, each from its lowest
     edge towards the lower of that edge's neighbours.
+
+    The segments arrive in row-major cell order from one flat pass over
+    the cells (_cell_segments), the order a 2-D nonzero gives, so each
+    edge's neighbour list and with it every chain is built in the same
+    order as from a cell-by-cell scan.
     """
     n, m = values.shape
-    signs = (values >= 0.0).astype(np.uint8)
-    case = signs[:-1, :-1] | signs[1:, :-1] << 1 | signs[1:, 1:] << 2 | signs[:-1, 1:] << 3
-    offsets = np.array([0, m, n * m, n * m + 1])
-    ambiguous = (case == 5) | (case == 10)
-    i, j = np.nonzero((case != 0) & (case != 15) & ~ambiguous)
-    segments = (i * m + j)[:, None] + offsets[_CASE_EDGES[case[i, j]]]
-    i, j = np.nonzero(ambiguous)
-    junction_edges = set(((i * m + j)[:, None] + offsets).ravel().tolist())
+    segments, junction_edges = _cell_segments(values)
     neighbours: dict[int, list[int]] = {}
     for a, b in segments.tolist():
         neighbours.setdefault(a, []).append(b)
@@ -423,6 +476,30 @@ def _turn_degrees(p0, p1, p2) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
 
 
+# Cosine below which a turn may be sharp: a turn of about 25.8 degrees,
+# far below the 35 of _SHARP_TURN_DEGREES (cos 35 = 0.819).
+_TURN_PREFILTER_COS = 0.9
+
+
+def _turn_candidates(pts) -> list[int]:
+    """Interior vertices whose turn _turn_degrees must decide.
+
+    The cosine of every turn is formed at once with _turn_degrees'
+    operations; only np.hypot may differ from math.hypot, by an ulp or so.
+    A vertex whose cosine is at least 0.9 therefore turns by less than 26
+    degrees and is never cut; every other vertex (cosine NaN included, as
+    for a zero-length step) goes to _turn_degrees unchanged.
+    """
+    p = np.asarray(pts)
+    v1 = p[1:-1] - p[:-2]
+    v2 = p[2:] - p[1:-1]
+    with np.errstate(all="ignore"):
+        cos = (v1[:, 0] * v2[:, 0] + v1[:, 1] * v2[:, 1]) / (
+            np.hypot(v1[:, 0], v1[:, 1]) * np.hypot(v2[:, 0], v2[:, 1])
+        )
+    return (np.flatnonzero(~(cos >= _TURN_PREFILTER_COS)) + 1).tolist()
+
+
 def _cut_sharp_turns(curves: list[_OpenCurve]) -> list[_OpenCurve]:
     """Split polylines at interior turns sharper than the threshold.
 
@@ -435,12 +512,13 @@ def _cut_sharp_turns(curves: list[_OpenCurve]) -> list[_OpenCurve]:
     while queue:
         curve = queue.pop(0)
         pts = curve.points
+        cuts = [
+            k
+            for k in _turn_candidates(pts)
+            if _turn_degrees(pts[k - 1], pts[k], pts[k + 1]) > _SHARP_TURN_DEGREES
+        ]
         if curve.closed:
-            sharp = None
-            for k in range(1, len(pts) - 1):
-                if _turn_degrees(pts[k - 1], pts[k], pts[k + 1]) > _SHARP_TURN_DEGREES:
-                    sharp = k
-                    break
+            sharp = cuts[0] if cuts else None
             if sharp is None and len(pts) > 3:
                 if _turn_degrees(pts[-2], pts[0], pts[1]) > _SHARP_TURN_DEGREES:
                     sharp = 0
@@ -450,11 +528,6 @@ def _cut_sharp_turns(curves: list[_OpenCurve]) -> list[_OpenCurve]:
             reopened = pts[sharp:-1] + pts[: sharp + 1]
             queue.append(_OpenCurve(reopened, loose_start=True, loose_end=True))
             continue
-        cuts = [
-            k
-            for k in range(1, len(pts) - 1)
-            if _turn_degrees(pts[k - 1], pts[k], pts[k + 1]) > _SHARP_TURN_DEGREES
-        ]
         if not cuts:
             out.append(curve)
             continue
@@ -640,7 +713,7 @@ def envelope_curves(target, criminant: PlaneCurveSet) -> PlaneCurveSet:
         x, y = planar(pts[:, 0], pts[:, 1])
         branches.append(
             Branch(
-                points=tuple((float(px), float(py)) for px, py in zip(x, y)),
+                points=tuple(zip(x.tolist(), y.tolist())),
                 tag=branch.tag,
                 closed=branch.closed,
             )
@@ -813,19 +886,17 @@ def legendrian_lift(
     d_x = _evaluate(planar._d1_t, mesh_xi, mesh_t)
     d_y = _evaluate(planar._d2_t, mesh_xi, mesh_t)
     invalid = (d_x == 0.0) & (d_y == 0.0)
-    reciprocal = (np.abs(d_x) < epsilon * np.abs(d_y)) & ~invalid
+    # False wherever d_x = d_y = 0, since 0 < epsilon * 0 fails.
+    reciprocal = np.abs(d_x) < epsilon * np.abs(d_y)
     slope = np.zeros_like(d_x)
-    affine = ~reciprocal & ~invalid
-    slope[affine] = d_y[affine] / d_x[affine]
-    slope[reciprocal] = d_x[reciprocal] / d_y[reciprocal]
-    chart = np.zeros(d_x.shape, dtype=np.uint8)
-    chart[reciprocal] = 1
+    np.divide(d_y, d_x, out=slope, where=~reciprocal & ~invalid)
+    np.divide(d_x, d_y, out=slope, where=reciprocal)
     return LiftedSurface(
         grid=grid,
         x=np.asarray(x, dtype=float),
         y=np.asarray(y, dtype=float),
         slope=slope,
-        chart=chart,
+        chart=reciprocal.astype(np.uint8),
         invalid=invalid,
         d_x=d_x,
         d_y=d_y,

@@ -36,6 +36,7 @@ must cap their working degree at N-1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence, Union
@@ -80,16 +81,27 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 def monomial_basis(nvars: int, min_degree: int, max_degree: int) -> list[Exponents]:
     """All exponent tuples with min_degree <= total degree <= max_degree, in order.
 
-    For (xi, t) and degrees 2..2 this yields xi^2, xi*t, t^2.
+    For (xi, t) and degrees 2..2 this yields xi^2, xi*t, t^2.  Each call
+    returns a new list.
+    """
+    return list(_monomial_tuple(nvars, min_degree, max_degree))
+
+
+@lru_cache(maxsize=64)
+def _monomial_tuple(nvars: int, min_degree: int, max_degree: int) -> tuple[Exponents, ...]:
+    """monomial_basis as a tuple, built once per set of arguments.
+
+    The tangent builders ask for the same few lists several times per
+    build, so they read this shared, immutable copy.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if min_degree < 0 or max_degree < min_degree:
-        return []
+        return ()
     out: list[Exponents] = []
     for degree in range(min_degree, max_degree + 1):
         out.extend(sorted(_compositions(degree, nvars), key=grlex_key))
-    return out
+    return tuple(out)
 
 
 def _compositions(degree: int, nvars: int) -> Iterator[Exponents]:
@@ -556,10 +568,12 @@ def _parse_term(term: str, variables: tuple[str, ...]) -> tuple[Fraction, list[i
         if name in variables:
             if caret and not power_text:
                 raise ValueError(f"empty exponent in term {term!r}")
-            power = int(power_text) if caret else 1
-            if power < 0:
-                raise ValueError(f"negative exponent in term {term!r}")
-            exponents[variables.index(name)] += power
+            # int() alone would also take signs, '_' separators and non-ASCII digits.
+            if caret and not (power_text.isascii() and power_text.isdigit()):
+                raise ValueError(
+                    f"exponent {power_text!r} is not a string of digits 0-9 in term {term!r}"
+                )
+            exponents[variables.index(name)] += int(power_text) if caret else 1
             continue
         if seen_coeff:
             raise ValueError(f"cannot parse factor {token!r} in term {term!r}")

@@ -66,7 +66,7 @@ from tanfam.jets import (
     IntTable,
     MapGerm,
     TruncatedPoly,
-    monomial_basis,
+    _monomial_tuple,
     monomial_text,
     partial_derivative,
     pullback,
@@ -153,7 +153,7 @@ def _source_rows(germ: MapGerm, order: int, min_multiplier_degree: int) -> Itera
     for index, name in enumerate(SOURCE_VARS):
         partials = [partial_derivative(comp, index) for comp in comps]
         prefix = f"d{name} * "
-        for i, j in monomial_basis(2, min_multiplier_degree, order):
+        for i, j in _monomial_tuple(2, min_multiplier_degree, order):
             room = order - i - j
             shifted = tuple(
                 (slot, {(k + i, l + j): v for (k, l), v in table.items() if k + l <= room})
@@ -183,7 +183,7 @@ class TangentSpaceBasis:
         self.kind = kind
         self.germ = germ
         self.order = order
-        self.monomials = tuple(monomial_basis(2, 0, order))
+        self.monomials = _monomial_tuple(2, 0, order)
         # Slot-major layout: column j holds the (slot, monomial) pair _cells[j].
         self._cells = tuple((slot, md) for slot in range(3) for md in self.monomials)
         self._columns = {cell: j for j, cell in enumerate(self._cells)}
@@ -301,8 +301,8 @@ def build_extended_tangent_space(
     order = resolve_order(germ, order)
     if kind not in (KIND_FIBERED, KIND_FULL):
         raise ValueError(f"kind must be {KIND_FIBERED!r} or {KIND_FULL!r}, got {kind!r}")
-    spatial = monomial_basis(3, 0, order)
-    planar = spatial if kind == KIND_FULL else monomial_basis(2, 0, order)
+    spatial = _monomial_tuple(3, 0, order)
+    planar = spatial if kind == KIND_FULL else _monomial_tuple(2, 0, order)
     rows = chain(
         _source_rows(germ, order, 0), _pullback_rows(germ, order, (planar, planar, spatial))
     )
@@ -319,12 +319,12 @@ def build_reduced_tangent_space(
     order = resolve_order(germ, order)
     if source_min_degree < 1:
         raise ValueError("source_min_degree must be >= 1 for a reduced space")
-    planar_sq = monomial_basis(2, 2, order)
-    spatial_sq = monomial_basis(3, 2, order)
+    planar_sq = _monomial_tuple(2, 2, order)
+    spatial_sq = _monomial_tuple(3, 2, order)
     slots = (
-        [(0, 1)] + planar_sq,          # {y} + m^2 in x, y
-        [(1, 0)] + planar_sq,          # {x} + m^2 in x, y
-        [(1, 0, 0), (0, 1, 0)] + spatial_sq,  # {x, y} + m^2 in x, y, z
+        ((0, 1),) + planar_sq,                # {y} + m^2 in x, y
+        ((1, 0),) + planar_sq,                # {x} + m^2 in x, y
+        ((1, 0, 0), (0, 1, 0)) + spatial_sq,  # {x, y} + m^2 in x, y, z
     )
     rows = chain(
         _source_rows(germ, order, source_min_degree), _pullback_rows(germ, order, slots)

@@ -106,6 +106,10 @@ def test_classify_not_tangential_is_a_verdict(capsys):
         '{"u": ["1 t^2"]}',
         '{"k0": 0, "k1": 1, "alpha": 2, "higher": 5}',
         '{"u": "1 t^2 + 1 xi^ t^3"}',  # empty exponent, once read as xi t^3
+        '{"u": "1 t^-0"}',  # signed exponents: once read as the constant 1
+        '{"u": "1 t^+2"}',
+        '{"u": "1 t^1_0"}',  # once read as t^10
+        '{"u": "1 t^x"}',
     ],
 )
 def test_classify_malformed_inputs(capsys, raw):
@@ -114,6 +118,17 @@ def test_classify_malformed_inputs(capsys, raw):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("power", ["-0", "+2", "1_0", "x"])
+def test_classify_names_the_term_of_a_bad_exponent(capsys, power):
+    raw = json.dumps({"u": f"1 xi t^2 + 1 t^{power}"})
+    code, out, err = run(capsys, "classify", "--input", raw)
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == (
+        f"error: bad family input: exponent {power!r} is not a string of digits 0-9"
+        f" in term '1 t^{power}'\n"
+    )
 
 
 def test_classify_rejects_u_with_k0(capsys):

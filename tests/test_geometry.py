@@ -13,6 +13,9 @@ import pytest
 
 from tanfam.families import double_umbrella_form, fold_form
 from tanfam.geometry import (
+    _CASE_EDGES,
+    _SHARP_TURN_DEGREES,
+    CHART_EPSILON,
     CUSP_ANGLE_DEGREES,
     DEFAULT_RESOLUTION,
     Branch,
@@ -34,6 +37,9 @@ from tanfam.geometry import (
     jacobian_det,
     legendrian_lift,
     trace_criminant,
+    _cell_segments,
+    _turn_candidates,
+    _turn_degrees,
 )
 from tanfam.jets import MapGerm, SOURCE_VARS, TruncatedPoly
 
@@ -203,6 +209,175 @@ def test_zero_padding_leaves_evaluation_bit_identical(case, pad):
     lift_padded, lift_compact = legendrian_lift(padded, grid), legendrian_lift(compact, grid)
     for name in ("x", "y", "slope", "chart", "invalid", "d_x", "d_y"):
         _assert_same_bits(getattr(lift_padded, name), getattr(lift_compact, name))
+
+
+# ---------------------------------------------------------------------------
+# grid kernels against the formulations they replaced
+
+
+def _reference_evaluate(c, xi, t):
+    """numpy's polyval in xi, then in t, each Horner step a new array."""
+    polyval = np.polynomial.polynomial.polyval
+    return polyval(t, polyval(xi, c), tensor=False)
+
+
+def _reference_jacobian(planar, xi, t):
+    derivatives = (planar._d1_xi, planar._d1_t, planar._d2_xi, planar._d2_t)
+    return [_reference_evaluate(d, xi, t) for d in derivatives]
+
+
+def _reference_lift(planar, grid, epsilon):
+    """Slope, chart and invalid mask by boolean indexing."""
+    xi, t = grid.mesh()
+    _, d_x, _, d_y = _reference_jacobian(planar, xi, t)
+    invalid = (d_x == 0.0) & (d_y == 0.0)
+    reciprocal = (np.abs(d_x) < epsilon * np.abs(d_y)) & ~invalid
+    slope = np.zeros_like(d_x)
+    affine = ~reciprocal & ~invalid
+    slope[affine] = d_y[affine] / d_x[affine]
+    slope[reciprocal] = d_x[reciprocal] / d_y[reciprocal]
+    chart = np.zeros(d_x.shape, dtype=np.uint8)
+    chart[reciprocal] = 1
+    return {"slope": slope, "chart": chart, "invalid": invalid, "d_x": d_x, "d_y": d_y}
+
+
+def _reference_cell_segments(values):
+    """Segments and ambiguous edges with the cells found by 2-D nonzero."""
+    n, m = values.shape
+    signs = (values >= 0.0).astype(np.uint8)
+    case = signs[:-1, :-1] | signs[1:, :-1] << 1 | signs[1:, 1:] << 2 | signs[:-1, 1:] << 3
+    offsets = np.array([0, m, n * m, n * m + 1])
+    ambiguous = (case == 5) | (case == 10)
+    i, j = np.nonzero((case != 0) & (case != 15) & ~ambiguous)
+    segments = (i * m + j)[:, None] + offsets[_CASE_EDGES[case[i, j]]]
+    i, j = np.nonzero(ambiguous)
+    return segments, set(((i * m + j)[:, None] + offsets).ravel().tolist())
+
+
+def _assert_same_value(got, want):
+    """Same type (array or numpy scalar), shape and bits."""
+    assert type(got) is type(want)
+    _assert_same_bits(got, want)
+
+
+_KERNEL_RNG = np.random.default_rng(41)
+_SIGNED_ZEROS = np.array([[0.0, -0.0, 1.25], [-0.0, -0.0, 0.0], [-2.5, 0.0, -0.0]])
+_KERNEL_MAPS = {
+    "beaks": BEAKS_FRAME,
+    "versal": apply_deformation(
+        double_umbrella_form(Fraction(1, 10), 1), DeformationParams(0.01, 0.028, 0.019)
+    ),
+    "random": PlanarMap(
+        _random_coefficients(_KERNEL_RNG, (5, 4)), _random_coefficients(_KERNEL_RNG, (3, 6))
+    ),
+    "signed-zeros": PlanarMap(_SIGNED_ZEROS, -_SIGNED_ZEROS.T),
+    # -0.0 + t * 0 is +0.0 for t >= 0: the t pass must start with that sum
+    "negative-zero": PlanarMap(np.array([[-0.0]]), np.array([[-0.0, 0.0, -0.0]])),
+    "crossing": as_planar_map(TYPE_II),
+}
+_SCATTERED = np.array([0.5, -0.0, 0.0, -1.25, 0.75, -0.0, 1e-300, -3.0])
+_KERNEL_SAMPLES = {
+    "open-square": GridSpec.square(1.0, 33).mesh(),
+    "open-wide": GridSpec(-1.3, 0.9, -0.8, 1.1, 7, 41).mesh(),
+    "open-tall": GridSpec(-1.3, 0.9, -0.8, 1.1, 41, 2).mesh(),
+    "dense": np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-0.5, 2, 5), indexing="ij"),
+    "scattered": (_SCATTERED, _SCATTERED[::-1].copy()),
+    "scalars": (0.5, -0.25),
+    "signed-zero-scalars": (-0.0, 0.0),
+    "scalar-and-row": (-0.0, _SCATTERED),
+}
+
+
+@pytest.mark.parametrize("samples", sorted(_KERNEL_SAMPLES))
+@pytest.mark.parametrize("name", sorted(_KERNEL_MAPS))
+def test_grid_kernels_match_the_polyval_reference(name, samples):
+    """Values, Jacobian and determinant keep the bits of the old formulas."""
+    planar = _KERNEL_MAPS[name]
+    xi, t = _KERNEL_SAMPLES[samples]
+    for got, c in zip(planar(xi, t), (planar.c1, planar.c2)):
+        _assert_same_value(got, _reference_evaluate(c, xi, t))
+    want = _reference_jacobian(planar, xi, t)
+    for got, expected in zip(planar.jacobian(xi, t), want):
+        _assert_same_value(got, expected)
+    j11, j12, j21, j22 = want
+    _assert_same_value(planar.det(xi, t), j11 * j22 - j12 * j21)
+
+
+def test_determinant_keeps_its_bits_where_it_overflows():
+    planar = as_planar_map(MapGerm((XI + T, XI * T * T)))
+    xi, t = GridSpec.square(1e160, 16).mesh()
+    with np.errstate(over="ignore", invalid="ignore"):
+        j11, j12, j21, j22 = _reference_jacobian(planar, xi, t)
+        want = j11 * j22 - j12 * j21
+        got = planar.det(xi, t)
+    assert not np.isfinite(want).all()
+    _assert_same_value(got, want)
+    # still refused, and numpy's warnings stay inside trace_criminant
+    with pytest.raises(ValueError, match="not finite"):
+        trace_criminant(planar, GridSpec(-1e160, 1e160, -1e159, 1e161, 16, 11))
+
+
+# (t^2, t^3) at epsilon 1 has affine, reciprocal and invalid samples on this grid
+@pytest.mark.parametrize(
+    "target, epsilon",
+    [(BEAKS_FRAME, CHART_EPSILON), (MapGerm((T * T, T**3)), 1.0), (MapGerm((T * T, T)), 0.5),
+     (_KERNEL_MAPS["random"], 0.3), (_KERNEL_MAPS["signed-zeros"], 2.0)],
+    ids=["beaks", "invalid-row", "vertical", "random", "signed-zeros"],
+)
+def test_lift_matches_the_boolean_index_reference(target, epsilon):
+    planar = as_planar_map(target)
+    grid = GridSpec(-1.0, 0.6, -1.0, 1.0, 37, 41)  # t = 0 is a sample
+    lift = legendrian_lift(planar, grid, epsilon)
+    want = _reference_lift(planar, grid, epsilon)
+    for key, expected in want.items():
+        _assert_same_value(getattr(lift, key), expected)
+    x, y = (_reference_evaluate(c, *grid.mesh()) for c in (planar.c1, planar.c2))
+    _assert_same_value(lift.x, x)
+    _assert_same_value(lift.y, y)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (31, 17), (64, 64)])
+def test_cell_segments_match_the_two_dimensional_nonzero(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    grids = [
+        rng.normal(size=shape),
+        rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape),  # ambiguous cells and signed zeros
+        np.where(rng.random(shape) < 0.5, 1.0, -1.0),
+    ]
+    xi, t = GridSpec(-1.0, 1.0, -0.5, 0.5, *shape).mesh()
+    grids.append(BEAKS_FRAME.det(xi, t))
+    for values in grids:
+        got_segments, got_edges = _cell_segments(values)
+        want_segments, want_edges = _reference_cell_segments(values)
+        _assert_same_value(got_segments, want_segments)
+        assert got_edges == want_edges
+
+
+def test_turn_prefilter_passes_every_sharp_turn():
+    """Every vertex _turn_degrees would cut is a candidate, at any scale."""
+    rng = np.random.default_rng(8)
+    polylines = []
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        steps = rng.normal(size=(400, 2)) * rng.uniform(0.01, 1.0, size=(400, 1))
+        steps[rng.random(400) < 0.05] = 0.0  # repeated points
+        polylines.append(np.cumsum(steps, axis=0) * scale)
+        # turns of 20 to 40 degrees, around the 0.9 cosine and the 35 degree cut
+        angles = np.cumsum(np.radians(rng.uniform(20.0, 40.0, size=200)))
+        unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        polylines.append(np.cumsum(unit, axis=0) * scale)
+    for pts in polylines:
+        pts = [tuple(p) for p in pts.tolist()]
+        candidates = _turn_candidates(pts)
+        sharp = [
+            k
+            for k in range(1, len(pts) - 1)
+            if _turn_degrees(pts[k - 1], pts[k], pts[k + 1]) > _SHARP_TURN_DEGREES
+        ]
+        assert sharp and set(sharp) <= set(candidates)
+        assert candidates == sorted(candidates)
+        # what the filter drops turns by less than 26 degrees
+        for k in set(range(1, len(pts) - 1)) - set(candidates):
+            assert _turn_degrees(pts[k - 1], pts[k], pts[k + 1]) < 26.0
 
 
 # ---------------------------------------------------------------------------

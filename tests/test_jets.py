@@ -168,6 +168,20 @@ def test_parse_rejects_garbage():
         p("1 t^")
 
 
+@pytest.mark.parametrize("power", ["-0", "+2", "1_0", "x", "-1", "2.0", "２", "²"])
+def test_parse_takes_ascii_digit_exponents_only(power):
+    # int() took '-0' (as t^0), '+2', '1_0' (as t^10) and full-width
+    # digits, and its message for 'x' did not name the term
+    term = f"1 xi t^{power}"
+    with pytest.raises(ValueError, match=re.escape(f"in term {term!r}")):
+        p(f"1 t^2 + {term}")
+
+
+def test_parse_reads_leading_zero_exponents():
+    assert p("1 t^02") == p("1 t^2")
+    assert p("1 xi^0 t^1") == p("1 t")
+
+
 @pytest.mark.parametrize(
     "text, term, cap",
     [("1 xi t^2", "1 xi t^2", 2), ("1 t^2 + 1 t^99", "1 t^99", 8), ("1 t + -2 t^4", "-2 t^4", 3)],

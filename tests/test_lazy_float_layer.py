@@ -73,6 +73,36 @@ def test_domain_on_an_exact_command_is_still_checked():
     )
 
 
+ENVELOPE = ["envelope", "--input", '{"u": "1 t^2"}', "--out", os.devnull]
+
+
+@pytest.mark.parametrize(
+    "argv, domain, message",
+    [
+        (ENVELOPE, "inf", "bad --domain value 'inf': grid rectangle bounds must be finite"),
+        (ENVELOPE, "-1,1,nan,1",
+         "bad --domain value '-1,1,nan,1': grid rectangle bounds must be finite"),
+        (ENVELOPE, "0", "bad --domain value '0': grid rectangle is degenerate"),
+        (ENVELOPE, "1,-1,-1,1", "bad --domain value '1,-1,-1,1': grid rectangle is degenerate"),
+        (ENVELOPE, "wide", "bad --domain value 'wide': could not convert string to float: 'wide'"),
+        (ENVELOPE, "1,2", "--domain takes a half-width or 'ximin,ximax,tmin,tmax'"),
+        (["sweep", "--a", "1/5", "--out", os.devnull], "-inf",
+         "bad --domain value '-inf': grid rectangle bounds must be finite"),
+        (["classify", "--input", '{"u": "1 t^2"}'], "-2",
+         "bad --domain value '-2': grid rectangle is degenerate"),
+    ],
+)
+def test_a_malformed_domain_exits_before_numpy_loads(argv, domain, message):
+    # the same exit code and error line as when GridSpec found the fault
+    result = run_main([*argv, f"--domain={domain}"])
+    assert result == {"code": 1, "err": f"error: {message}\n", "numpy": False}
+
+
+def test_a_domain_on_an_exact_command_does_not_load_numpy():
+    result = run_main(["classify", "--input", '{"u": "1 xi t^2"}', "--domain=-2,1,0,3"])
+    assert (result["code"], result["numpy"]) == (0, False)
+
+
 def test_envelope_loads_the_float_layer():
     result = run_main(["envelope", "--input", '{"u": "1 t^2"}', "--grid", "8", "--out", os.devnull])
     assert result["code"] == 0
