@@ -258,7 +258,7 @@ def probe_branch_index(
     order = basis.order
     above = order + 1  # a threshold above the window selects no column
     block = basis.block_columns((above, above, 1) if family == "H" else (above, 1, above))
-    absorbed = basis.absorbed_columns()
+    absorbed = basis.absorbed_columns(min(block, default=0))
     top_failure = max((d for j, d in block.items() if j not in absorbed), default=None)
     if top_failure is None:
         # Nothing resists at any degree; no branch signature in the window.

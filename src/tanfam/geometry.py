@@ -472,7 +472,14 @@ def _turn_degrees(p0, p1, p2) -> float:
     n2 = math.hypot(*v2)
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    cos = (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)
+    norm = n1 * n2
+    if norm == 0.0 or not math.isfinite(norm):
+        # The product of two tiny or huge steps under- or overflows:
+        # compare the unit steps instead.
+        v1 = (v1[0] / n1, v1[1] / n1)
+        v2 = (v2[0] / n2, v2[1] / n2)
+        norm = 1.0
+    cos = (v1[0] * v2[0] + v1[1] * v2[1]) / norm
     return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
 
 

@@ -2,16 +2,23 @@
 
 A row is a dict mapping column to nonzero entry.  Tangent-space
 generators touch few of their columns, so rows store only those.  Every
-row is rescaled to a primitive integer row (multiply by the LCM of the
-denominators, divide by the GCD, flip so the entry in the lowest column
-is positive), which keeps the arithmetic in integers and makes the
-reduced form unique, hence byte-for-byte reproducible.
+row is rescaled to a primitive integer row (divide by the GCD of its
+entries, flip so the entry in the lowest column is positive), which
+keeps the arithmetic in integers and makes the reduced form unique,
+hence byte-for-byte reproducible.  Rows of integers, which is what the
+tangent-space builders and the elimination produce, take one gcd call
+and are rebuilt only when there is a zero to drop, a content to divide
+out or a sign to flip; only rows with Fraction entries pay for a pass
+that multiplies by the LCM of the denominators first.
 
 RowSpace is an incremental echelon basis: rows are added one at a time
 and forward-reduced against the existing pivots, each row's pivot being
-its lowest column.  Rank and membership are available at any point;
-canonical_matrix() back-eliminates to the unique reduced echelon form
-and is the one place rows are written out densely.
+its lowest column.  Rank and membership are available at any point.
+The reduced echelon row with pivot j depends only on the echelon rows
+whose pivots lie above j, so reduced_rows(start) back-eliminates just
+the rows with pivot >= start: a reader of the unit rows of a trailing
+block of columns pays for that block alone.  canonical_matrix() is
+reduced_rows(0) written out densely, and the one place rows are.
 """
 
 from __future__ import annotations
@@ -25,21 +32,26 @@ SparseRow = dict[int, int]
 
 def primitive_row(row: Mapping[int, Fraction | int]) -> SparseRow:
     """Rescale a sparse rational row to a primitive integer row with
-    positive lead entry, dropping zero entries."""
-    denom = lcm(*(value.denominator for value in row.values()))
-    ints = {
-        col: value.numerator * (denom // value.denominator)
-        for col, value in row.items()
-        if value != 0
-    }
-    if not ints:
-        return ints
-    common = gcd(*ints.values())
-    if ints[min(ints)] < 0:
+    positive lead entry, dropping zero entries.  Returns a new dict."""
+    try:
+        common = gcd(*row.values())
+    except TypeError:  # Fraction entries: clear the denominators first
+        denom = lcm(*(value.denominator for value in row.values()))
+        row = {
+            col: value.numerator * (denom // value.denominator)
+            for col, value in row.items()
+            if value != 0
+        }
+        common = gcd(*row.values())
+    if not common:
+        return {}
+    if 0 in row.values():
+        row = {col: value for col, value in row.items() if value}
+    if row[min(row)] < 0:
         common = -common
     if common != 1:
-        ints = {col: value // common for col, value in ints.items()}
-    return ints
+        return {col: value // common for col, value in row.items()}
+    return dict(row)
 
 
 def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> SparseRow:
@@ -48,7 +60,7 @@ def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> SparseRow:
     b = row[col]
     g = gcd(a, b)
     ra, rb = a // g, b // g
-    out = {c: ra * x for c, x in row.items()}
+    out = dict(row) if ra == 1 else {c: ra * x for c, x in row.items()}
     for c, p in pivot_row.items():
         value = out.get(c, 0) - rb * p
         if value:
@@ -101,19 +113,24 @@ class RowSpace:
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)
 
-    def canonical_matrix(self) -> list[list[int]]:
-        """Unique reduced echelon form: back-eliminated, primitive, dense rows."""
-        cols = sorted(self._rows)
+    def reduced_rows(self, start: int = 0) -> dict[int, SparseRow]:
+        """The rows of the unique reduced echelon form whose pivot is
+        >= start, primitive and sparse, keyed by pivot in column order."""
+        cols = sorted(col for col in self._rows if col >= start)
         rows = [self._rows[c] for c in cols]
         for i in range(len(rows) - 1, -1, -1):
             col = cols[i]
             for k in range(i):
                 if col in rows[k]:
                     rows[k] = _eliminate(rows[k], rows[i], col)
+        return {col: primitive_row(row) for col, row in zip(cols, rows)}
+
+    def canonical_matrix(self) -> list[list[int]]:
+        """Unique reduced echelon form: back-eliminated, primitive, dense rows."""
         dense = []
-        for row in rows:
+        for row in self.reduced_rows().values():
             out = [0] * self.width
-            for j, value in primitive_row(row).items():
+            for j, value in row.items():
                 out[j] = value
             dense.append(out)
         return dense

@@ -43,7 +43,10 @@ generator as a Fraction jet at the cap and flattening it would.
 Membership has one primitive, RowSpace.contains.  Unit vectors need no
 call at all: e_j lies in the span exactly when it is a row of the
 reduced echelon form, so block checks and branch probes read the set of
-such columns (absorbed_columns).  Membership modulo per-slot degree caps
+such columns (absorbed_columns).  They read it from the reduced rows
+whose pivot lies at or after the block's first column, which
+RowSpace.reduced_rows back-eliminates without the rows before it and
+without a dense matrix.  Membership modulo per-slot degree caps
 is membership in a copy of the space with the unit rows of the
 truncated columns added.  TangentSpaceBasis is the one place that knows
 the column layout: it builds the (slot, monomial) -> column index once
@@ -188,20 +191,21 @@ class TangentSpaceBasis:
         self._cells = tuple((slot, md) for slot in range(3) for md in self.monomials)
         self._columns = {cell: j for j, cell in enumerate(self._cells)}
         self._space = RowSpace(len(self._cells))
-        index = {md: k for k, md in enumerate(self.monomials)}
         per_slot = len(self.monomials)
+        slot_columns = [
+            {md: base + k for k, md in enumerate(self.monomials)}
+            for base in range(0, 3 * per_slot, per_slot)
+        ]
         provenance: list[str] = []
         for (prefix, md, names), cells in rows:
-            row: SparseRow = {}
-            for slot, jet in cells:
-                base = slot * per_slot
-                row.update((base + index[m], value) for m, value in jet.items())
+            row = {
+                slot_columns[slot][m]: value for slot, jet in cells for m, value in jet.items()
+            }
             if self._space.add(row):
                 provenance.append(prefix + monomial_text(md, names))
         self.provenance = tuple(provenance)
         self.config = dict(config or {})
         self._canonical: list[list[int]] | None = None
-        self._absorbed: frozenset[int] | None = None
 
     @property
     def rank(self) -> int:
@@ -240,20 +244,22 @@ class TangentSpaceBasis:
             if sum(md) >= thresholds[slot]
         }
 
-    def absorbed_columns(self) -> frozenset[int]:
-        """Columns j whose unit vector e_j lies in the span.
+    def absorbed_columns(self, start: int = 0) -> frozenset[int]:
+        """Columns j >= start whose unit vector e_j lies in the span.
 
         e_j lies in the span exactly when it is a row of the reduced
         echelon form: its one nonzero entry sits in at most one pivot
-        column, so it is a multiple of that pivot's primitive row.
+        column, so it is a multiple of that pivot's primitive row.  Those
+        rows are read from the canonical matrix when it is already built,
+        and otherwise back-eliminated from column start on only.
         """
-        if self._absorbed is None:
-            self._absorbed = frozenset(
-                row.index(1)
-                for row in self.canonical_matrix()
-                if row.count(0) == len(row) - 1
+        if self._canonical is not None:
+            rows = zip(self._space.pivot_columns(), self._canonical)
+            return frozenset(
+                j for j, row in rows if j >= start and row.count(0) == len(row) - 1
             )
-        return self._absorbed
+        reduced = self._space.reduced_rows(start)
+        return frozenset(j for j, row in reduced.items() if len(row) == 1)
 
     def contains(
         self, vec: Sequence[TruncatedPoly], caps: Sequence[int] | None = None
@@ -376,7 +382,8 @@ def contains_ideal_block(
     for threshold in (p, q, r):
         if threshold < 0:
             raise ValueError("block degrees must be non-negative")
-    missing = basis.block_columns((p, q, r)).keys() - basis.absorbed_columns()
+    block = basis.block_columns((p, q, r))
+    missing = block.keys() - basis.absorbed_columns(min(block, default=0))
     witness = basis.column_label(min(missing)) if missing else None
     return BlockCheck(not missing, (p, q, r), basis.order, basis.order + 1, witness)
 

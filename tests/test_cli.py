@@ -508,6 +508,25 @@ def test_sweep_determinant_overflow_is_malformed(capsys, tmp_path):
     assert err.startswith("error:") and "not finite" in err
 
 
+@pytest.mark.parametrize("domain", ["1e-170", "1e-320"])
+@pytest.mark.parametrize(
+    "command",
+    [("envelope", "--input", '{"u": "1 t^2"}'), ("sweep", "--a", "1/5", "--lambdas=0.1")],
+)
+def test_tiny_domain_never_ends_in_a_traceback(capsys, tmp_path, command, domain):
+    # before, the product of two step lengths in _turn_degrees underflowed
+    # to 0.0 and envelope died with a ZeroDivisionError
+    code, out, err = run(
+        capsys, *command, "--grid", "16", f"--domain={domain}", "--out", str(tmp_path / "o"),
+    )
+    assert code in (EXIT_OK, EXIT_MALFORMED)
+    if code == EXIT_MALFORMED:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert json.loads(out)
+
+
 def test_sweep_beaks_rejects_mu(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanfam.linalg import RowSpace, primitive_row
 
@@ -26,6 +28,41 @@ def test_primitive_row_zero():
     assert primitive_row({}) == {}
     assert primitive_row({0: 0, 3: Fraction(0)}) == {}
     assert primitive_row({0: 0, 2: -5}) == {2: 1}  # zero entries are dropped
+
+
+def test_primitive_row_integer_fast_path():
+    # zero entries, a negative lead and content 6 at once
+    assert primitive_row({3: 0, 1: -12, 4: 18, 0: 0, 2: 6}) == {1: 2, 4: -3, 2: -1}
+    assert primitive_row({5: 7, 2: 0}) == {5: 1}
+    assert primitive_row({0: -1, 1: 1}) == {0: 1, 1: -1}
+    assert primitive_row({0: 3, 2: -5}) == {0: 3, 2: -5}  # already primitive
+    assert primitive_row({4: 0}) == {}
+    big = 2**200 + 1
+    assert primitive_row({0: -7 * big, 9: 14}) == {0: big, 9: -2}
+
+
+def test_primitive_row_mixed_fraction_and_int_entries():
+    assert primitive_row({0: Fraction(1, 2), 1: 3, 2: 0}) == {0: 1, 1: 6}
+    assert primitive_row({2: -4, 0: Fraction(-2, 3), 5: Fraction(0)}) == {0: 1, 2: 6}
+    assert primitive_row({1: Fraction(6), 3: 9}) == {1: 2, 3: 3}
+    row = primitive_row({0: Fraction(4, 6), 1: 2})
+    assert row == {0: 1, 1: 3}
+    assert all(type(value) is int for value in row.values())
+
+
+def test_primitive_row_returns_a_new_dict():
+    for row in ({0: 1, 1: 2}, {0: 2, 1: 4}, {0: -1}, {0: 0, 1: 1}, {0: Fraction(1, 2)}):
+        out = primitive_row(row)
+        assert out is not row
+        out[7] = 1
+        assert 7 not in row
+    row = {0: 1, 2: 3}
+    space = RowSpace(3)
+    assert space.add(row)
+    row[1] = 5
+    del row[2]
+    assert space.canonical_matrix() == [[1, 0, 3]]
+    assert not space.contains({1: 1})
 
 
 def test_rowspace_rank_and_membership():
@@ -107,3 +144,35 @@ def test_matrix_rank():
     assert hilbert.canonical_matrix() == [
         [1 if j == i else 0 for j in range(4)] for i in range(4)
     ]
+
+
+_RATIONAL_ROWS = st.integers(1, 7).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, width - 1),
+                st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                max_size=width,
+            ),
+            max_size=8,
+        ),
+    )
+)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(_RATIONAL_ROWS)
+def test_reduced_rows_from_every_start_match_the_canonical_matrix(case):
+    width, rows = case
+    space = RowSpace(width)
+    for row in rows:
+        space.add(row)
+    canon = space.canonical_matrix()
+    pivots = space.pivot_columns()
+    for start in range(width + 1):
+        reduced = space.reduced_rows(start)
+        assert list(reduced) == [col for col in pivots if col >= start]
+        for col, row in reduced.items():
+            assert row == {j: v for j, v in enumerate(canon[pivots.index(col)]) if v}
+            assert min(row) == col

@@ -25,6 +25,7 @@ from helpers_oracle import (
     XI,
 )
 from tanfam.families import (
+    classify,
     double_umbrella_form,
     family_from_invariants,
     fold_form,
@@ -452,6 +453,76 @@ def test_absorbed_columns_match_oracle_for_every_unit_vector(space):
     expected = {j for j, inside in enumerate(members) if inside}
     assert basis.absorbed_columns() == expected
     assert 0 < len(expected) < basis.dimension  # both outcomes are exercised
+
+
+def dense_absorbed(basis):
+    """The dense reading: the unit rows of the whole canonical matrix."""
+    return {
+        row.index(1) for row in basis.canonical_matrix() if row.count(0) == len(row) - 1
+    }
+
+
+def assert_absorbed_from_every_start(build):
+    """absorbed_columns(start) on a fresh basis, and on one whose canonical
+    matrix is built, against the dense reading cut at every start column."""
+    fresh, dense = build(), build()
+    expected = dense_absorbed(dense)
+    for start in range(fresh.dimension + 1):
+        want = {j for j in expected if j >= start}
+        assert fresh.absorbed_columns(start) == want, start
+        assert dense.absorbed_columns(start) == want, start
+    return expected
+
+
+ABSORBED_UMBRELLAS = {
+    "1/5": (Fraction(1, 5), 1),
+    "-37/11": (Fraction(-37, 11), Fraction(13, 7)),
+    "-1": (Fraction(-1), 1),  # an excluded modulus
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABSORBED_UMBRELLAS))
+def test_absorbed_columns_match_the_dense_reading_at_every_order(name):
+    germ = double_umbrella_form(*ABSORBED_UMBRELLAS[name], cap=10, validate=False)
+    sizes = set()
+    for order in range(1, germ.cap):
+        for space in SPACES:
+            expected = assert_absorbed_from_every_start(lambda: build_space(germ, order, space))
+            sizes.add(len(expected))
+    assert len(sizes) > 2
+
+
+@pytest.mark.parametrize("family, invariants", [("H", (0, 3, 2)), ("A", (0, 3, 1))])
+def test_absorbed_columns_match_the_dense_reading_on_branch_germs(family, invariants):
+    for cap in (10, 11, 12):
+        germ = legendrian_parameterization(
+            family_from_invariants(*invariants, higher="1/3 t^4 + -2 xi^2 t^3", cap=cap)
+        )
+        assert_absorbed_from_every_start(
+            lambda: build_extended_tangent_space(germ, None, KIND_FULL)
+        )
+        assert probe_branch_index(germ, family).n == 2
+
+
+def test_block_checks_and_classify_build_no_dense_matrix(monkeypatch):
+    calls = []
+    dense = RowSpace.canonical_matrix
+
+    def counted(self):
+        calls.append(1)
+        return dense(self)
+
+    monkeypatch.setattr(RowSpace, "canonical_matrix", counted)
+    germ = double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10)
+    for space in SPACES:
+        contains_ideal_block(build_space(germ, 9, space), 3, 5, 4)
+    complement = [(ZERO, T_P, ZERO), (T_P * T_P, ZERO, ZERO), (ZERO, T_P**3, ZERO)]
+    miniversality_check(double_umbrella_form(Fraction(1, 5), 1, 8), complement)
+    for invariants in ((0, 3, 2), (0, 3, 1)):
+        classify(family_from_invariants(*invariants, cap=10))
+    assert calls == []
+    build_space(germ, 3, KIND_FIBERED).canonical_matrix()
+    assert calls == [1]  # the counter sees a dense matrix when there is one
 
 
 def test_contains_with_caps_matches_oracle_with_truncated_unit_rows():
