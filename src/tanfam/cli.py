@@ -70,8 +70,9 @@ EXIT_CONTRADICTS = 3
 
 VERIFY_KINDS = ("ideal-block", "fold-sufficiency", "miniversal")
 
-# Samples per axis that --grid may ask for.  A trace holds about 50 bytes
-# per grid sample at its peak, so the limit costs about 0.85 GB.
+# Samples per axis that --grid may ask for.  A trace holds about 24 bytes
+# per grid sample at its peak (three float grids while the determinant is
+# formed), so the limit costs about 0.4 GB.
 MAX_GRID_RESOLUTION = 4096
 
 # Largest --cap accepted.  Time, not memory, limits it: verify at the
@@ -275,9 +276,9 @@ def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
     target = _envelope_target(args)
     try:
         report = geometry.count_cusps(target, args.grid)
+        envelope = geometry.envelope_curves(target, report.curves)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    envelope = geometry.envelope_curves(target, report.curves)
     fits = []
     for branch in envelope.branches:
         try:

@@ -182,6 +182,14 @@ def _derive_array(c: np.ndarray, axis: int) -> np.ndarray:
     return c[:, 1:] * factors[None, :]
 
 
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing all-+0.0 rows and columns, keeping one of each."""
+    kept = (c != 0) | np.signbit(c)
+    rows = np.flatnonzero(kept.any(axis=1))
+    cols = np.flatnonzero(kept.any(axis=0))
+    return c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
+
+
 def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray:
     """sum c[i, j] xi^i t^j at (xi, t) broadcast together, Horner in xi then t.
 
@@ -210,10 +218,7 @@ def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray
     so the bits are those of polyval(t, inner, tensor=False), without a
     new grid-sized array at every step.
     """
-    kept = (c != 0) | np.signbit(c)
-    rows = np.flatnonzero(kept.any(axis=1))
-    cols = np.flatnonzero(kept.any(axis=0))
-    c = c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
+    c = _trim(c)
     inner = polyval(xi, c)
     acc = np.empty(np.broadcast_shapes(np.shape(xi), np.shape(t))) if out is None else out
     np.add(inner[-1], t * 0, out=acc)
@@ -238,6 +243,9 @@ class PlanarMap:
         self._d1_t = _derive_array(self.c1, 1)
         self._d2_xi = _derive_array(self.c2, 0)
         self._d2_t = _derive_array(self.c2, 1)
+        # Determinant grids shared with maps evaluated on the same samples
+        # (see det); deformation_sweep sets one dict for all its frames.
+        self._shared: dict | None = None
 
     @classmethod
     def from_polys(cls, p1: TruncatedPoly, p2: TruncatedPoly) -> "PlanarMap":
@@ -261,19 +269,85 @@ class PlanarMap:
         )
 
     def det(self, xi, t) -> np.ndarray:
-        """j11 * j22 - j12 * j21 with the same roundings, in three grids.
+        """j11 * j22 - j12 * j21 at the samples, with the same roundings.
 
-        j12 is evaluated into j22's buffer once j11 * j22 is formed.
+        Each entry is evaluated on only the axes it depends on (_own_axes)
+        and the products broadcast into the one full-shape result: j22
+        goes straight into it, is multiplied by j11 and has the product
+        subtracted.  Per sample these are the operations of the full-grid
+        j11 * j22 - j12 * j21, so the bits are the same.
+
+        The j11 and j12 * j21 grids are read from self._shared, keyed by
+        the bytes of their coefficient arrays, and added to it when
+        missing.  That dict must serve one set of samples only.  Without
+        one, the grids live only as long as this call.
         """
+        shared = {} if self._shared is None else self._shared
         shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
-        det, other = np.empty(shape), np.empty(shape)
-        _evaluate(self._d1_xi, xi, t, out=det)
-        _evaluate(self._d2_t, xi, t, out=other)
-        np.multiply(det, other, out=det)
-        _evaluate(self._d1_t, xi, t, out=other)
-        np.multiply(other, _evaluate(self._d2_xi, xi, t), out=other)
-        np.subtract(det, other, out=det)
+        mesh = _is_open_mesh(xi, t)
+
+        def grid(c):
+            return _evaluate(c, *_own_axes(c, xi, t, mesh))
+
+        def product():
+            j12, j21 = grid(self._d1_t), grid(self._d2_xi)
+            # j12 is a new array: fill it when it has the product's shape
+            # (not for scalar samples, where it is a numpy scalar)
+            in_place = isinstance(j12, np.ndarray) and j12.shape == np.broadcast_shapes(
+                j12.shape, np.shape(j21)
+            )
+            return np.multiply(j12, j21, out=j12 if in_place else None)
+
+        j11 = _shared_grid(shared, (self._d1_xi,), lambda: grid(self._d1_xi))
+        j12_j21 = _shared_grid(shared, (self._d1_t, self._d2_xi), product)
+        det = np.empty(shape)
+        xi22, t22 = _own_axes(self._d2_t, xi, t, mesh)
+        full = np.broadcast_shapes(np.shape(xi22), np.shape(t22)) == shape
+        np.multiply(j11, _evaluate(self._d2_t, xi22, t22, out=det if full else None), out=det)
+        np.subtract(det, j12_j21, out=det)
         return det[()]
+
+
+def _shared_grid(shared: dict, arrays: tuple[np.ndarray, ...], make: Callable):
+    """shared's value for the coefficient bytes of arrays, made when missing."""
+    key = tuple((c.shape, c.tobytes()) for c in arrays)
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
+
+
+def _is_open_mesh(xi, t) -> bool:
+    """Finite float samples laid out as an (N, 1) by (1, M) open mesh."""
+    return (
+        isinstance(xi, np.ndarray)
+        and isinstance(t, np.ndarray)
+        and xi.ndim == t.ndim == 2
+        and xi.shape[1] == 1
+        and t.shape[0] == 1
+        and xi.dtype.kind == t.dtype.kind == "f"
+        and bool(np.isfinite(xi).all() and np.isfinite(t).all())
+    )
+
+
+def _own_axes(c: np.ndarray, xi, t, mesh: bool) -> tuple:
+    """The samples c needs: on an open mesh, only the axes it depends on.
+
+    When mesh holds (_is_open_mesh) and c has no -0.0 entry, a c without
+    xi terms after _trim gets xi's first row only, giving its (1, M) t
+    row, one without t terms gets t's first column, giving its (N, 1) xi
+    column, and a constant gets both.  Broadcast back, these are the bits
+    of the full-grid evaluation: with no -0.0 coefficient no Horner
+    partial result is -0.0, so the xi * 0 and t * 0 terms that carried
+    the broadcast, each +-0.0 for a finite sample, add nothing to it.
+    Scattered points and anything else get xi and t unchanged.
+    """
+    c = _trim(c)
+    if mesh and not (np.signbit(c) & (c == 0)).any():
+        if c.shape[0] == 1:
+            xi = xi[:1]
+        if c.shape[1] == 1:
+            t = t[:, :1]
+    return xi, t
 
 
 def as_planar_map(target) -> PlanarMap:
@@ -712,12 +786,25 @@ def trace_criminant(target, grid: GridSpec | None = None) -> PlaneCurveSet:
 
 
 def envelope_curves(target, criminant: PlaneCurveSet) -> PlaneCurveSet:
-    """Image of the criminant under the planar map, tags preserved."""
+    """Image of the criminant under the planar map, tags preserved.
+
+    An image point that overflows to inf or NaN raises ValueError: the
+    picture drawn from it would be silently wrong.
+    """
     planar = as_planar_map(target)
+
+    def image(xi, t):
+        # Overflow is detected just below, so numpy need not warn about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = planar(xi, t)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("the envelope is not finite on this grid; shrink the domain")
+        return x, y
+
     branches = []
     for branch in criminant.branches:
         pts = branch.as_array()
-        x, y = planar(pts[:, 0], pts[:, 1])
+        x, y = image(pts[:, 0], pts[:, 1])
         branches.append(
             Branch(
                 points=tuple(zip(x.tolist(), y.tolist())),
@@ -727,7 +814,7 @@ def envelope_curves(target, criminant: PlaneCurveSet) -> PlaneCurveSet:
         )
     cusps = []
     for xi, t in criminant.cusps:
-        x, y = planar(xi, t)
+        x, y = image(xi, t)
         cusps.append((float(x), float(y)))
     return PlaneCurveSet(branches=tuple(branches), cusps=tuple(cusps))
 
@@ -754,10 +841,9 @@ class CuspReport:
         }
 
 
-def _line_angles_degrees(kernel: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Signed angle between two line fields, folded into (-90, 90]."""
-    cross = kernel[:, 0] * tangent[:, 1] - kernel[:, 1] * tangent[:, 0]
-    dot = kernel[:, 0] * tangent[:, 0] + kernel[:, 1] * tangent[:, 1]
+def _line_angles_degrees(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
+    """Signed angle between two line fields from the cross and dot products
+    of their direction vectors, folded into (-90, 90]."""
     angles = np.degrees(np.arctan2(cross, dot))
     angles = np.where(angles > 90.0, angles - 180.0, angles)
     angles = np.where(angles <= -90.0, angles + 180.0, angles)
@@ -778,10 +864,19 @@ def _branch_cusps(
     j11, j12, j21, j22 = planar.jacobian(pts[:, 0], pts[:, 1])
     row1 = np.stack([j11, j12], axis=1)
     row2 = np.stack([j21, j22], axis=1)
-    use_row2 = np.linalg.norm(row2, axis=1) > np.linalg.norm(row1, axis=1)
-    rows = np.where(use_row2[:, None], row2, row1)
-    kernel = np.stack([-rows[:, 1], rows[:, 0]], axis=1)
-    angles = _line_angles_degrees(kernel, tangent)
+    # Overflow is detected just below, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm1 = np.linalg.norm(row1, axis=1)
+        norm2 = np.linalg.norm(row2, axis=1)
+        rows = np.where((norm2 > norm1)[:, None], row2, row1)
+        kernel = np.stack([-rows[:, 1], rows[:, 0]], axis=1)
+        cross = kernel[:, 0] * tangent[:, 1] - kernel[:, 1] * tangent[:, 0]
+        dot = kernel[:, 0] * tangent[:, 0] + kernel[:, 1] * tangent[:, 1]
+    # An inf norm picks the kernel row blindly; an inf or NaN product gives
+    # a wrong angle or one that is never a cusp.
+    if not all(np.isfinite(v).all() for v in (norm1, norm2, cross, dot)):
+        raise ValueError("the cusp scan is not finite on this grid; shrink the domain")
+    angles = _line_angles_degrees(cross, dot)
 
     candidates = set(np.nonzero(np.abs(angles) <= angle_degrees)[0].tolist())
     flips = np.nonzero(
@@ -979,8 +1074,22 @@ def analyze_deformation(
     angle_degrees: float = CUSP_ANGLE_DEGREES,
 ) -> SweepFrame:
     """Trace, count and map one deformation frame."""
+    return _analyze(base, params, mode, grid, angle_degrees, None)
+
+
+def _analyze(
+    base: MapGerm,
+    params: DeformationParams,
+    mode: str,
+    grid: GridSpec | None,
+    angle_degrees: float,
+    shared: dict | None,
+) -> SweepFrame:
+    """analyze_deformation, the deformed map's determinant grids shared
+    through the given dict (PlanarMap.det)."""
     grid = grid if grid is not None else GridSpec()
     deformed = apply_deformation(base, params, mode)
+    deformed._shared = shared
     report = count_cusps(deformed, grid, angle_degrees=angle_degrees)
     envelope = envelope_curves(deformed, report.curves)
     return SweepFrame(
@@ -1001,9 +1110,20 @@ def deformation_sweep(
     mu1: float = 0.0,
     mu2: float = 0.0,
 ) -> list[SweepFrame]:
-    """One frame per lambda; mu parameters apply in versal mode only."""
+    """One frame per lambda; mu parameters apply in versal mode only.
+
+    Lambda changes the t coefficient of the second component only, which
+    reaches the Jacobian entry j22 alone.  The frames therefore share one
+    dict of determinant grids (PlanarMap.det): j11 and j12 * j21 are
+    evaluated for the first frame and reused, keyed by their coefficient
+    bytes, and every frame evaluates j22 only.
+    """
     lambdas = tuple(lambdas) if lambdas is not None else default_sweep_lambdas()
+    shared: dict = {}  # every frame is traced on the one grid
     return [
-        analyze_deformation(base, DeformationParams(lam=lam, mu1=mu1, mu2=mu2), mode, grid)
+        _analyze(
+            base, DeformationParams(lam=lam, mu1=mu1, mu2=mu2), mode, grid,
+            CUSP_ANGLE_DEGREES, shared,
+        )
         for lam in lambdas
     ]

@@ -206,6 +206,8 @@ class TangentSpaceBasis:
         self.provenance = tuple(provenance)
         self.config = dict(config or {})
         self._canonical: list[list[int]] | None = None
+        # (start, RowSpace.reduced_rows(start)) for the lowest start asked for
+        self._reduced: tuple[int, dict] | None = None
 
     @property
     def rank(self) -> int:
@@ -251,15 +253,21 @@ class TangentSpaceBasis:
         echelon form: its one nonzero entry sits in at most one pivot
         column, so it is a multiple of that pivot's primitive row.  Those
         rows are read from the canonical matrix when it is already built,
-        and otherwise back-eliminated from column start on only.
+        and otherwise back-eliminated from column start on only.  The
+        reduced rows of the lowest start so far are kept: the row with
+        pivot j depends only on the rows with pivots above j, so they also
+        answer every later call with a start at or above theirs.
         """
         if self._canonical is not None:
             rows = zip(self._space.pivot_columns(), self._canonical)
             return frozenset(
                 j for j, row in rows if j >= start and row.count(0) == len(row) - 1
             )
-        reduced = self._space.reduced_rows(start)
-        return frozenset(j for j, row in reduced.items() if len(row) == 1)
+        if self._reduced is None or start < self._reduced[0]:
+            self._reduced = (start, self._space.reduced_rows(start))
+        return frozenset(
+            j for j, row in self._reduced[1].items() if j >= start and len(row) == 1
+        )
 
     def contains(
         self, vec: Sequence[TruncatedPoly], caps: Sequence[int] | None = None

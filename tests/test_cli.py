@@ -7,7 +7,11 @@ shipped in the package, so the schemas cannot drift from the output.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -25,6 +29,8 @@ from tanfam.cli import (
     MAX_GRID_RESOLUTION,
     main,
 )
+
+SRC = str(Path(tanfam.cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -525,6 +531,40 @@ def test_tiny_domain_never_ends_in_a_traceback(capsys, tmp_path, command, domain
         assert err.startswith("error:") and err.count("\n") == 1
     else:
         assert json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the cusp scan's row norms and cross products overflow
+        ("envelope", "--input", '{"u": "1 xi t^2 + 1 t^3"}', "--grid", "64", "--domain=1e150"),
+        ("sweep", "--a", "1/5", "--domain=1e100"),
+        # only the envelope image overflows: x = 4 xi reaches 2e308
+        ("envelope", "--input", '{"components": ["4 xi + 1 t", "1 t^2"]}', "--grid", "16",
+         "--domain=-5e307,5e307,-1,1"),
+    ],
+    ids=["envelope-cusp-scan", "sweep-cusp-scan", "envelope-image"],
+)
+def test_huge_domain_exits_malformed_without_warnings(tmp_path, argv):
+    """A fresh process, so that numpy's warnings would reach its stderr.
+
+    Before, each run exited 0 with numpy RuntimeWarnings on stderr, and the
+    envelope SVGs held inf or NaN vertices.
+    """
+    out_path = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, tanfam.cli; sys.exit(tanfam.cli.main())",
+         *argv, "--out", str(out_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_MALFORMED
+    assert done.stdout == ""
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "shrink the domain" in done.stderr
+    assert not out_path.exists()
 
 
 def test_sweep_beaks_rejects_mu(capsys, tmp_path):

@@ -6,10 +6,13 @@ deformed two-parameter form) come from closed-form elimination.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanfam.families import double_umbrella_form, fold_form
 from tanfam.geometry import (
@@ -38,6 +41,8 @@ from tanfam.geometry import (
     legendrian_lift,
     trace_criminant,
     _cell_segments,
+    _evaluate,
+    _own_axes,
     _turn_candidates,
     _turn_degrees,
 )
@@ -317,6 +322,84 @@ def test_determinant_keeps_its_bits_where_it_overflows():
         trace_criminant(planar, GridSpec(-1e160, 1e160, -1e159, 1e161, 16, 11))
 
 
+def _full_grid_det(planar, xi, t):
+    """PlanarMap.det as it was before entries got their own axes: all four
+    entries over the full broadcast grid, in three grids."""
+    shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
+    det, other = np.empty(shape), np.empty(shape)
+    _evaluate(planar._d1_xi, xi, t, out=det)
+    _evaluate(planar._d2_t, xi, t, out=other)
+    np.multiply(det, other, out=det)
+    _evaluate(planar._d1_t, xi, t, out=other)
+    np.multiply(other, _evaluate(planar._d2_xi, xi, t), out=other)
+    np.subtract(det, other, out=det)
+    return det[()]
+
+
+# Signed zeros and small integers make exact cancellations and zero
+# products, where the sign of a zero decides the bits.
+_COEFFICIENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),  # overflows to inf and NaN
+)
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),
+)
+
+
+@st.composite
+def _coefficient_arrays(draw):
+    """Up to 4 x 4, so the derivatives take every shape down to 1 x 1."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(_COEFFICIENT, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def _sample_sets(draw):
+    """Open meshes, equal-shape scattered points (1-D and 2-D) or scalars."""
+    kind = draw(st.sampled_from(["open", "scattered", "scattered-2d", "scalars"]))
+    if kind == "scalars":
+        return draw(_SAMPLE), draw(_SAMPLE)
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shapes = {"open": ((n, 1), (1, m)), "scattered": ((n,), (n,)), "scattered-2d": ((n, m),) * 2}
+    arrays = []
+    for shape in shapes[kind]:
+        size = math.prod(shape)
+        values = draw(st.lists(_SAMPLE, min_size=size, max_size=size))
+        arrays.append(np.array(values).reshape(shape))
+    return tuple(arrays)
+
+
+_MIXED_SIGNS = (np.array([[-1.0], [1.0]]), np.array([[-1.0, 1.0]]))
+
+
+@settings(database=None, deadline=None, max_examples=400)
+@given(_coefficient_arrays(), _coefficient_arrays(), _sample_sets())
+# A constant -0.0 entry, -0.0 + xi * 0 + t * 0, is -0.0 only where xi and t
+# are both negative, so it must not be read from the first sample alone
+@example(np.array([[0.0], [-0.0]]), np.array([[0.0, 1.0]]), _MIXED_SIGNS)  # j11
+@example(np.array([[1.0, -0.0]]), np.array([[0.0, 1.0], [-0.0, 0.0]]), _MIXED_SIGNS)  # j12, j21
+def test_own_axes_determinant_matches_the_full_grid_reference(c1, c2, samples):
+    """On a finite open mesh each Jacobian entry on its own axes, broadcast,
+    has the full-grid bits; on every kind of samples the determinant has
+    the bits of the full-grid formulation."""
+    xi, t = samples
+    shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
+    open_mesh = np.ndim(xi) == np.ndim(t) == 2 and np.shape(xi)[1] == np.shape(t)[0] == 1
+    mesh = open_mesh and np.isfinite(xi).all() and np.isfinite(t).all()
+    with np.errstate(all="ignore"):
+        planar = PlanarMap(c1, c2)
+        for c in (planar._d1_xi, planar._d1_t, planar._d2_xi, planar._d2_t):
+            own = _own_axes(c, xi, t, mesh)
+            got = np.broadcast_to(_evaluate(c, *own), shape)
+            _assert_same_bits(got, _evaluate(c, xi, t))
+        _assert_same_value(planar.det(xi, t), _full_grid_det(planar, xi, t))
+
+
 # (t^2, t^3) at epsilon 1 has affine, reciprocal and invalid samples on this grid
 @pytest.mark.parametrize(
     "target, epsilon",
@@ -482,6 +565,29 @@ def test_trace_rejects_a_determinant_that_overflows():
     assert trace_criminant(target, GridSpec.square(1e150, 16)).branch_count == 2
     with pytest.raises(ValueError, match="not finite"):
         trace_criminant(target, GridSpec.square(1e160, 16))
+
+
+def test_envelope_rejects_an_image_point_that_overflows():
+    # before, the envelope read inf and the SVG held the vertex
+    planar = PlanarMap(np.array([[0.0, 1.0], [4.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
+    fine = Branch(points=((1e307, 0.0), (0.0, 0.0)), tag="branch-0")
+    assert envelope_curves(planar, PlaneCurveSet(branches=(fine,))).branches[0].points[0] == (
+        4e307, 0.0)
+    huge = Branch(points=((5e307, 0.0), (0.0, 0.0)), tag="branch-0")
+    for curves in (PlaneCurveSet(branches=(huge,)), PlaneCurveSet(cusps=((5e307, 0.0),))):
+        with pytest.raises(ValueError, match="envelope is not finite"):
+            envelope_curves(planar, curves)
+
+
+def test_cusp_scan_rejects_products_that_overflow():
+    # before, overflowing row norms picked the kernel row blindly and NaN
+    # angles never counted as a cusp, with numpy warnings on stderr
+    target = MapGerm((XI + T, XI * T * T + T**3))
+    grid = GridSpec.square(1e150, 64)
+    assert trace_criminant(target, grid).branch_count > 0  # the trace itself is finite
+    with pytest.raises(ValueError, match="cusp scan is not finite"):
+        count_cusps(target, grid)
+    count_cusps(target, GridSpec.square(1e60, 64))  # far below overflow: no error
 
 
 def test_trace_closed_criminant_is_one_closed_branch():
@@ -742,3 +848,60 @@ def test_deformation_sweep_cusp_counts():
     assert [frame.params.lam for frame in frames] == pytest.approx(
         [-0.1, -0.05, 0.0, 0.05, 0.1]
     )
+
+
+@pytest.mark.parametrize("mode, mu", [(MODE_BEAKS, (0.0, 0.0)), (MODE_VERSAL, (0.028, 0.019))])
+def test_sweep_frames_equal_single_frame_runs(mode, mu):
+    """Frames that share the lambda-invariant determinant grids equal
+    frames analysed one at a time, lambda repeated and -0.0 included."""
+    germ = double_umbrella_form(Fraction(1, 5), 1)
+    grid = GridSpec(-1.0, 0.9, -1.1, 1.0, 97, 89)
+    lambdas = (0.1, -0.05, 0.1, -0.0, 0.0, 0.05, -0.05)
+    frames = deformation_sweep(germ, mode, lambdas, grid, *mu)
+    assert len({frame.cusp_count for frame in frames}) > 1  # the frames differ
+    for lam, frame in zip(lambdas, frames):
+        alone = analyze_deformation(germ, DeformationParams(lam, *mu), mode, grid)
+        assert frame.to_json() == alone.to_json()
+        for got, want in ((frame.criminant, alone.criminant), (frame.envelope, alone.envelope)):
+            assert got.branches == want.branches
+            assert got.cusps == want.cusps
+
+
+def test_shared_determinant_grids_are_keyed_by_coefficient_bytes():
+    """One dict of shared grids serves maps whose j11 or j12 * j21 differ."""
+    xi, t = GridSpec(-1.0, 0.9, -1.1, 1.0, 41, 37).mesh()
+    maps = [
+        apply_deformation(double_umbrella_form(a, 1), DeformationParams(lam, *mu), mode)
+        for a in (Fraction(1, 5), Fraction(-1, 2))
+        for lam in (0.1, -0.0)
+        for mode, mu in ((MODE_BEAKS, (0.0, 0.0)), (MODE_VERSAL, (0.028, 0.019)))
+    ] + [_KERNEL_MAPS[name] for name in ("random", "signed-zeros", "crossing")]
+    shared = {}
+    for planar in maps + maps[::-1]:
+        sharing = PlanarMap(planar.c1, planar.c2)
+        sharing._shared = shared
+        _assert_same_value(sharing.det(xi, t), planar.det(xi, t))
+    # j11 = 1 in the umbrella maps and in (xi + t, t^2 xi), two more j11 in the
+    # others; one j12 * j21 per a and mode (not per lambda), three more
+    assert len(shared) == 3 + 4 + 3
+
+
+def test_sweep_peak_memory_stays_below_the_full_grid_determinant():
+    """tracemalloc's peak over a 3-frame beaks sweep at grid 256.
+
+    The bound is the peak measured when every frame evaluated all four
+    Jacobian entries on the full grid (1,926,414 bytes, about 29 bytes
+    per sample); sharing the lambda-invariant grids peaks at about
+    1,524,509 bytes.
+    """
+    germ = double_umbrella_form(Fraction(1, 5), 1)
+    grid = GridSpec.square(1.0, 256)
+    lambdas = (-0.1, 0.0, 0.1)
+    deformation_sweep(germ, lambdas=lambdas, grid=grid)  # first-call caches
+    tracemalloc.start()
+    try:
+        deformation_sweep(germ, lambdas=lambdas, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_926_414

@@ -525,6 +525,31 @@ def test_block_checks_and_classify_build_no_dense_matrix(monkeypatch):
     assert calls == [1]  # the counter sees a dense matrix when there is one
 
 
+def test_block_checks_on_one_basis_back_eliminate_once_per_lower_start(monkeypatch):
+    calls = []
+    reduced = RowSpace.reduced_rows
+
+    def counted(self, start=0):
+        calls.append(start)
+        return reduced(self, start)
+
+    monkeypatch.setattr(RowSpace, "reduced_rows", counted)
+    germ = double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10)
+    # the fourth block starts where the first does, the last one lower
+    blocks = [(3, 5, 4), (4, 4, 4), (5, 6, 5), (3, 3, 3), (6, 6, 6), (2, 9, 9)]
+    for space in SPACES:
+        fresh, dense = build_space(germ, 9, space), build_space(germ, 9, space)
+        dense.canonical_matrix()
+        calls.clear()
+        for block in blocks:
+            assert contains_ideal_block(fresh, *block) == contains_ideal_block(dense, *block)
+        assert len(calls) == 2 and calls[1] < calls[0], space
+        # start 0 back-eliminates once more, and its rows serve every start
+        for start in range(fresh.dimension + 1):
+            assert fresh.absorbed_columns(start) == dense.absorbed_columns(start), start
+        assert len(calls) == 3 and calls[2] == 0
+
+
 def test_contains_with_caps_matches_oracle_with_truncated_unit_rows():
     cases = [
         ("fold", (ZERO, ZERO, T_P), (4, 4, 1)),
