@@ -13,7 +13,8 @@ Importing the package loads the exact layer only.  ``tanfam.geometry``
 and ``tanfam.emit`` are registered as lazy modules: their bodies, and
 numpy with them, run on the first attribute access, whether through the
 module or through a float-layer name on the package.  So code that only
-classifies or verifies never imports numpy.
+classifies or verifies never imports numpy.  ``tanfam.selfcheck`` is
+lazy in the same way, so only the self-check suites load it.
 """
 
 import importlib.util
@@ -72,10 +73,12 @@ def _lazy_module(name: str) -> ModuleType:
     return module
 
 
-# The float layer (and numpy with it) loads when one of its names is
-# first used, so the exact commands never import numpy.
+# The float layer (and numpy with it) and the self-check suites load when
+# one of their names is first used, so the exact commands never import
+# numpy or run selfcheck's body.
 geometry = _lazy_module("tanfam.geometry")
 emit = _lazy_module("tanfam.emit")
+selfcheck = _lazy_module("tanfam.selfcheck")
 
 # public name -> the float-layer module that defines it
 _FLOAT_NAMES = {

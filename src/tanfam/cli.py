@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from tanfam import emit, geometry
+from tanfam import emit, geometry, selfcheck
 from tanfam.families import (
     NotTangentialError,
     SingularityLabel,
@@ -44,17 +44,14 @@ from tanfam.families import (
 )
 from tanfam.jets import (
     DEFAULT_CAP,
+    DEFAULT_ORACLE_SAMPLES,
     DEFAULT_RESOLUTION,
+    DEFAULT_ROUNDS,
     MODE_BEAKS,
     MODE_VERSAL,
     MapGerm,
     SOURCE_VARS,
     TruncatedPoly,
-)
-from tanfam.selfcheck import (
-    DEFAULT_ORACLE_SAMPLES,
-    DEFAULT_ROUNDS,
-    run_all,
 )
 from tanfam.tangent import (
     build_extended_tangent_space,
@@ -127,14 +124,24 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
     return values
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise CLIError(f"input JSON repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_input(text: str) -> dict:
     stripped = text.strip()
     try:
-        if stripped.startswith("{"):
-            data = json.loads(stripped)
-        else:
-            data = json.loads(Path(text).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = stripped if stripped.startswith("{") else Path(text).read_text(encoding="utf-8")
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # above the interpreter's digit limit; RecursionError, deep nesting.
         raise CLIError(f"cannot read input: {exc}") from exc
     if not isinstance(data, dict):
         raise CLIError("input JSON must be an object")
@@ -327,7 +334,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> tuple[dict, int]:
     """Seeded property suites; any recorded violation exits 3."""
     if args.rounds < 1 or args.samples < 1:
         raise CLIError("--rounds and --samples must be at least 1")
-    results = run_all(args.seed, args.rounds, args.samples, args.cap)
+    results = selfcheck.run_all(args.seed, args.rounds, args.samples, args.cap)
     ok = all(result.ok for result in results)
     payload = {"ok": ok, "results": [result.to_json() for result in results]}
     return payload, EXIT_OK if ok else EXIT_CONTRADICTS
@@ -388,13 +395,21 @@ def _render(payload: dict, fmt: str) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _exact(text: str) -> Fraction:
+    """argparse type for an exact rational; a zero denominator is a bad value too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _add_moduli(p: argparse.ArgumentParser, a_required: bool) -> None:
     p.add_argument(
-        "--a", type=Fraction, required=a_required,
+        "--a", type=_exact, required=a_required,
         help="modulus a (exact, e.g. 1/5; write --a=-1/2 for negative values)",
     )
     p.add_argument(
-        "--b", type=Fraction, default=Fraction(1), help="parameter b (exact, default 1)"
+        "--b", type=_exact, default=Fraction(1), help="parameter b (exact, default 1)"
     )
 
 

@@ -43,7 +43,6 @@ lower bound instead of a guess when the window is too short.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -70,8 +69,7 @@ class FamilyInvariants(NamedTuple):
     alpha: Fraction
 
 
-@dataclass(frozen=True)
-class FamilyGerm:
+class FamilyGerm(NamedTuple):
     """Adapted tangential-family data: u plus its three steering coefficients."""
 
     u: TruncatedPoly
@@ -204,8 +202,7 @@ def _invariants_of(g: "FamilyGerm | FamilyInvariants") -> FamilyInvariants:
     return FamilyInvariants(*(as_fraction(v) for v in g))
 
 
-@dataclass(frozen=True)
-class BranchIndex:
+class BranchIndex(NamedTuple):
     """Probe result for the index n of a degenerate branch family.
 
     essential_degree is the highest jet degree, up to the working order,
@@ -291,8 +288,7 @@ def probe_branch_index(
     return BranchIndex(family, order, resolved=True, n=n, essential_degree=top_failure)
 
 
-@dataclass(frozen=True)
-class SingularityLabel:
+class SingularityLabel(NamedTuple):
     """Classifier verdict for a tangential family germ.
 
     a and the projection-form flag are present for second-type verdicts

@@ -45,6 +45,10 @@ SOURCE_VARS = ("xi", "t")
 TARGET_VARS = ("x", "y", "z")
 DEFAULT_CAP = 8
 
+# selfcheck's defaults, here so the CLI parser does not load selfcheck.
+DEFAULT_ROUNDS = 1000
+DEFAULT_ORACLE_SAMPLES = 20
+
 # Float-layer settings the CLI parser needs before any float work.  They
 # live here, in a numpy-free module, so commands that never touch the
 # float layer never import numpy; geometry re-exports them.
@@ -253,8 +257,9 @@ class TruncatedPoly:
 
         Accepts '*' or whitespace between factors, an optional leading
         coefficient per term (default 1), and 'a - b' as well as 'a + -b'.
-        A term of total degree above the cap raises ValueError rather than
-        being truncated away.
+        A separate sign followed by another ('a - - b') or ending the text
+        has no one reading and raises ValueError.  A term of total degree
+        above the cap raises ValueError rather than being truncated away.
         """
         if not isinstance(text, str):
             raise TypeError(f"polynomial text must be a string, got {type(text).__name__}")
@@ -534,24 +539,28 @@ def _split_terms(text: str) -> list[str]:
     # Rewrite every additive +/- into '+' followed by a signed term, then split.
     out: list[str] = []
     current: list[str] = []
-    tokens = text.replace("*", " ").split()
-    for token in tokens:
-        if token == "+":
+    sign = None  # the separate '+'/'-' token still waiting for its term
+    for token in text.replace("*", " ").split():
+        if token in ("+", "-"):
+            if sign is not None:
+                raise ValueError(
+                    f"polynomial text {text!r} has the sign {token!r} right after {sign!r}"
+                )
             if current:
                 out.append(" ".join(current))
-                current = []
-        elif token == "-":
-            if current:
-                out.append(" ".join(current))
-            current = ["-"]
+            current = ["-"] if token == "-" else []
+            sign = token
         else:
             # Signs glued to the front of a token ("+3/2", "-xi") start a term
             # only when a '+'/'-' separator token precedes; glued '-' inside a
             # coefficient like "-1/5" is handled by Fraction parsing below.
             current.append(token)
+            sign = None
+    if sign is not None:
+        raise ValueError(f"polynomial text {text!r} ends in the sign {sign!r}")
     if current:
         out.append(" ".join(current))
-    return [t for t in out if t and t != "-"]
+    return out
 
 
 def _parse_term(term: str, variables: tuple[str, ...]) -> tuple[Fraction, list[int]]:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from tanfam.jets import (
     DEFAULT_CAP,
+    DEFAULT_ORACLE_SAMPLES,
+    DEFAULT_ROUNDS,
     SOURCE_VARS,
     TARGET_VARS,
     Exponents,
@@ -40,14 +41,11 @@ from tanfam.tangent import (
     build_extended_tangent_space,
 )
 
-DEFAULT_ROUNDS = 1000
-DEFAULT_ORACLE_SAMPLES = 20
 DEFAULT_ORACLE_ORDER = 3
 _MAX_RECORDED_FAILURES = 5
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """Outcome of one property suite: rounds run, failures recorded."""
 
     name: str

@@ -58,9 +58,8 @@ block checks, caps and branch probes alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from tanfam.jets import (
     SOURCE_VARS,
@@ -347,8 +346,7 @@ def build_reduced_tangent_space(
     return TangentSpaceBasis(f"{KIND_FIBERED}-reduced", germ, order, rows, config)
 
 
-@dataclass(frozen=True)
-class BlockCheck:
+class BlockCheck(NamedTuple):
     """Outcome of an ideal-block containment test, certified at finite order.
 
     holds means every slotwise monomial of degree >= the block threshold

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import tanfam.cli
 import tanfam.geometry
+import tanfam.selfcheck
 from tanfam.cli import (
     EXIT_CONTRADICTS,
     EXIT_INDETERMINATE,
@@ -116,6 +117,10 @@ def test_classify_not_tangential_is_a_verdict(capsys):
         '{"u": "1 t^+2"}',
         '{"u": "1 t^1_0"}',  # once read as t^10
         '{"u": "1 t^x"}',
+        '{"u": "1 xi t^2 - - 1 t^3"}',  # doubled signs: once read as -t^3
+        '{"u": "1 xi t^2 - + 1 t^3"}',  # once read as +t^3
+        '{"u": "1 xi t^2 + -"}',  # trailing sign: once dropped
+        '{"u": "+"}',  # once read as 0
     ],
 )
 def test_classify_malformed_inputs(capsys, raw):
@@ -193,6 +198,38 @@ def test_classify_file_input(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "classify", "--input", str(path))
     assert code == EXIT_OK
     assert payload["variant"] == "TypeI"
+
+
+def test_classify_rejects_a_repeated_key(capsys):
+    # the last "u" alone is indeterminate (exit 2); the first would classify
+    code, out, err = run(capsys, "classify", "--input", '{"u": "1 xi t^2", "u": "1 t^3"}')
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == "error: input JSON repeats the key 'u'\n"
+
+
+def test_classify_file_that_is_not_utf8_is_malformed(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_bytes(b'\xff\xfe{"u": "1 t^2"}')
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err.startswith("error: cannot read input: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        ('{"k0": ' + "1" * 5000 + ', "k1": 1, "alpha": 1}', "Exceeds the limit"),
+        ('{"u": ' + "[" * 100_000, "maximum recursion depth"),
+    ],
+    ids=["integer-above-the-digit-limit", "deep-nesting"],
+)
+def test_classify_input_json_the_decoder_refuses_is_malformed(capsys, raw, reason):
+    # both once ended in a traceback
+    code, out, err = run(capsys, "classify", "--input", raw)
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err.startswith("error: cannot read input: ") and reason in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_classify_out_redirects_payload(capsys, tmp_path):
@@ -309,6 +346,24 @@ def test_verify_missing_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["verify", "--kind", "ideal-block", "--a", "1/0"], "--a: invalid Fraction value: '1/0'"),
+        (["verify", "--kind", "ideal-block", "--a", "1/5", "--b", "0/0"],
+         "--b: invalid Fraction value: '0/0'"),
+        (["sweep", "--a", "1/0"], "--a: invalid Fraction value: '1/0'"),
+        (["verify", "--kind", "ideal-block", "--a", "½"], "--a: invalid Fraction value: '½'"),
+    ],
+)
+def test_a_zero_denominator_is_a_bad_fraction_value(capsys, argv, bad):
+    # a ZeroDivisionError once escaped argparse as a traceback
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {bad}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -735,11 +790,11 @@ def test_cap_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
         "build_reduced_tangent_space",
         "miniversality_check",
         "double_umbrella_form",
-        "run_all",
     ):
         monkeypatch.setattr(tanfam.cli, name, never)
     for name in ("count_cusps", "deformation_sweep"):
         monkeypatch.setattr(tanfam.geometry, name, never)
+    monkeypatch.setattr(tanfam.selfcheck, "run_all", never)
     out_path = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--cap", str(MAX_CAP + 1), "--out", str(out_path))
     assert MAX_CAP == 28

@@ -168,6 +168,31 @@ def test_parse_rejects_garbage():
         p("1 t^")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 t^2 - - 1 t^3",  # once read as 1 t^2 + -1 t^3
+        "1 t^2 - + 1 t^3",  # once read as 1 t^2 + 1 t^3
+        "1 t^2 + + 1 t^3",
+        "- - 1 t^2",  # once read as -1 t^2
+        "1 t^2 + -",  # once read as 1 t^2
+        "1 t^2 -",
+        "+",  # once read as 0
+        "-",
+    ],
+)
+def test_parse_rejects_doubled_and_trailing_signs(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        p(text)
+
+
+def test_parse_keeps_signs_written_against_a_term():
+    assert p("1 t^2 + -1/5 t^3") == p("1 t^2 - 1/5 t^3")
+    assert p("1 t^2 - -1 t^3") == p("1 t^2 + 1 t^3")
+    assert p("+ -1/5 t^3") == p("-1/5 t^3")
+    assert p("- 1 xi t^2 + 1 t^3") == p("-1 xi t^2 + 1 t^3")
+
+
 @pytest.mark.parametrize("power", ["-0", "+2", "1_0", "x", "-1", "2.0", "２", "²"])
 def test_parse_takes_ascii_digit_exponents_only(power):
     # int() took '-0' (as t^0), '+2', '1_0' (as t^10) and full-width

@@ -1,18 +1,33 @@
-"""The float layer (geometry, emit and numpy) loads on first use only.
+"""A fresh process loads only what its command runs.
 
-Each test runs in a fresh interpreter, since this test session has long
-since imported numpy.
+The float layer (geometry, emit and numpy) and the self-check suites
+load on first use only, and the exact commands never import
+``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind it), so
+their exact-layer records are named tuples.  The start-up tests run in
+a fresh interpreter, since this test session has long since imported
+all of these.
 """
 
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tanfam
+from tanfam import (
+    BlockCheck,
+    BranchIndex,
+    FamilyGerm,
+    SingularityLabel,
+    TruncatedPoly,
+    double_umbrella_form,
+)
+from tanfam.jets import SOURCE_VARS
+from tanfam.selfcheck import SuiteResult
 
 SRC = str(Path(tanfam.__file__).resolve().parents[1])
 
@@ -139,3 +154,166 @@ def test_every_public_name_resolves():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tanfam.no_such_name  # noqa: B018
+
+
+# ---------------------------------------------------------------------------
+# What else a fresh process loads
+
+RUN_MAIN_MODULES = """
+import contextlib, io, json, sys, types
+import tanfam.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = tanfam.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({
+    "code": code,
+    "modules": sorted(sys.modules),
+    # LazyLoader turns the module into a plain module when its body runs
+    "selfcheck_ran": type(sys.modules["tanfam.selfcheck"]) is types.ModuleType,
+}))
+"""
+
+HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def bare_heavy():
+    """The HEAVY modules a bare interpreter loads before any tanfam code."""
+    return HEAVY & set(fresh("import json, sys\nprint(json.dumps(sorted(sys.modules)))"))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--input", '{"u": "1 xi t^2 + 1/2 t^3"}'], 0),
+        (["verify", "--kind", "ideal-block", "--a", "1/5"], 0),
+        (["verify", "--kind", "miniversal", "--a", "1/5"], 3),
+        (["classify", "--input", "{not json"], 1),
+        (["verify", "--kind", "ideal-block"], 1),
+    ],
+)
+def test_exact_commands_skip_dataclasses_and_the_selfcheck_body(argv, code, bare_heavy):
+    result = fresh(RUN_MAIN_MODULES, json.dumps(argv))
+    assert result["code"] == code
+    assert HEAVY & set(result["modules"]) <= bare_heavy
+    assert result["selfcheck_ran"] is False
+
+
+def test_selfcheck_loads_neither_numpy_nor_dataclasses(bare_heavy):
+    result = fresh(RUN_MAIN_MODULES, json.dumps(["selfcheck", "--rounds", "1", "--samples", "2"]))
+    assert result["code"] == 0
+    assert result["selfcheck_ran"] is True
+    assert "numpy" not in result["modules"]
+    assert HEAVY & set(result["modules"]) <= bare_heavy
+
+
+# ---------------------------------------------------------------------------
+# The exact-layer records are named tuples: same fields, defaults and JSON
+
+def _germ():
+    return double_umbrella_form(Fraction(1, 5), 1, cap=4)
+
+
+RECORDS = [
+    (
+        FamilyGerm,
+        {
+            "u": TruncatedPoly.from_text(SOURCE_VARS, "1 xi t^2 + 1/2 t^3", 4),
+            "k0": Fraction(0),
+            "k1": Fraction(1),
+            "alpha": Fraction(1, 2),
+        },
+        None,
+    ),
+    (
+        BranchIndex,
+        {"family": "H", "order": 7, "resolved": False, "lower_bound": 3},
+        {
+            "family": "H",
+            "order": 7,
+            "resolved": False,
+            "n": None,
+            "lower_bound": 3,
+            "essential_degree": None,
+        },
+    ),
+    (
+        SingularityLabel,
+        {
+            "variant": "A1Plus",
+            "a": Fraction(1, 5),
+            "projection_form_applicable": True,
+            "branch": BranchIndex("A", 5, True, n=3, essential_degree=3),
+            "order": 5,
+            "germ": _germ(),
+        },
+        {
+            "variant": "A1Plus",
+            "a": "1/5",
+            "projection_form_applicable": True,
+            "branch": {
+                "family": "A",
+                "order": 5,
+                "resolved": True,
+                "n": 3,
+                "lower_bound": None,
+                "essential_degree": 3,
+            },
+            "order": 5,
+            "parameterization": list(_germ().to_texts()),
+        },
+    ),
+    (
+        BlockCheck,
+        {"holds": True, "block": (3, 5, 4), "order": 6, "modulo_degree": 7},
+        {"holds": True, "block": [3, 5, 4], "order": 6, "modulo_degree": 7, "witness": None},
+    ),
+    (
+        SuiteResult,
+        {"name": "demo", "rounds": 3, "seed": 1, "failures": (), "elapsed": 0.01234},
+        {"name": "demo", "rounds": 3, "seed": 1, "ok": True, "failures": [], "elapsed": 0.012},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, payload", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_records_keep_keywords_json_hash_and_immutability(cls, fields, payload):
+    record = cls(**fields)
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+    if payload is not None:
+        assert record.to_json() == payload
+    copy = cls(**fields)
+    assert copy == record and hash(copy) == hash(record)
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    assert getattr(record, name) == fields[name]
+
+
+def test_record_defaults():
+    assert SingularityLabel("TypeI").to_json() == {
+        "variant": "TypeI",
+        "a": None,
+        "projection_form_applicable": None,
+        "branch": None,
+        "order": None,
+        "parameterization": None,
+    }
+    index = BranchIndex("A", 4, True)
+    assert (index.n, index.lower_bound, index.essential_degree) == (None, None, None)
+    assert BlockCheck(False, (1, 1, 1), 3, 4).witness is None
+
+
+def test_family_germ_properties():
+    germ = FamilyGerm(**RECORDS[0][1])
+    assert germ.invariants == (Fraction(0), Fraction(1), Fraction(1, 2))
+    assert germ.cap == 4
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_block_check_truth_is_its_verdict(holds):
+    check = BlockCheck(holds, (2, 3, 2), 4, 5, {"slot": 2, "monomial": "t^3"})
+    assert bool(check) is holds
+    assert check.to_json()["witness"] == {"slot": 2, "monomial": "t^3"}
