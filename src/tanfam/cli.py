@@ -52,6 +52,7 @@ from tanfam.jets import (
     MapGerm,
     SOURCE_VARS,
     TruncatedPoly,
+    _check_digits,
 )
 from tanfam.tangent import (
     build_extended_tangent_space,
@@ -72,9 +73,11 @@ VERIFY_KINDS = ("ideal-block", "fold-sufficiency", "miniversal")
 # formed), so the limit costs about 0.4 GB.
 MAX_GRID_RESOLUTION = 4096
 
-# Largest --cap accepted.  Time, not memory, limits it: verify at the
-# deepest order (cap - 1) took 2.2 s at cap 24, 7.9 s at cap 28 and
-# 27.5 s at cap 32 as a fresh process on a 2-core Xeon.
+# Largest --cap accepted.  Time, not memory, limits it: verify
+# --kind ideal-block at the deepest order (cap - 1, a = -37/11,
+# b = 13/7) took 0.20 s at cap 16, 1.46 s at cap 24 and 4.51 s at cap 28
+# as a fresh process on a 2-core Xeon (median of 3); its build and block
+# check took 18.7 s at cap 32 through the library.
 MAX_CAP = 28
 
 _EXCLUDED_MODULI = (Fraction(-1), Fraction(0), Fraction(1, 3))
@@ -155,9 +158,9 @@ def _check_args(args: argparse.Namespace) -> None:
     it stays the checked samples per axis, so the exact commands never
     load the float layer (a given --domain is still checked).  ``data``
     holds the parsed --input, ``lambdas`` is a tuple or None (the library
-    default), ``order`` is the working order (None lets classify use
-    cap - 1) and ``out`` is a Path, or None where the payload goes to
-    stdout.
+    default), ``b`` is the given --b or 1, ``order`` is the working order
+    (None lets classify use cap - 1) and ``out`` is a Path, or None where
+    the payload goes to stdout.
     """
     if not 2 <= args.grid <= MAX_GRID_RESOLUTION:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
@@ -172,6 +175,10 @@ def _check_args(args: argparse.Namespace) -> None:
         args.lambdas = _parse_lambdas(args.lambdas)
     if args.cap < 2:
         raise CLIError("--cap must be at least 2")
+    if getattr(args, "kind", None) == "fold-sufficiency" and (args.a, args.b) != (None, None):
+        raise CLIError("--a/--b do not apply to fold-sufficiency")
+    if hasattr(args, "b") and args.b is None:
+        args.b = Fraction(1)
     if args.command == "verify" and args.order is None:
         args.order = 4 if args.kind == "fold-sufficiency" else 6
     if args.order is not None and not 1 <= args.order <= args.cap - 1:
@@ -396,8 +403,10 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _exact(text: str) -> Fraction:
-    """argparse type for an exact rational; a zero denominator is a bad value too."""
+    """argparse type for an exact rational; a zero denominator is a bad value
+    too, and so is a number above the input digit bound."""
     try:
+        _check_digits(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
@@ -408,9 +417,7 @@ def _add_moduli(p: argparse.ArgumentParser, a_required: bool) -> None:
         "--a", type=_exact, required=a_required,
         help="modulus a (exact, e.g. 1/5; write --a=-1/2 for negative values)",
     )
-    p.add_argument(
-        "--b", type=_exact, default=Fraction(1), help="parameter b (exact, default 1)"
-    )
+    p.add_argument("--b", type=_exact, help="parameter b (exact, default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

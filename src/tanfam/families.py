@@ -118,8 +118,12 @@ def family_from_invariants(
     nonzero invariant whose monomial lies above the cap raises ValueError
     rather than being truncated away.
     """
-    steering = {(0, 2): as_fraction(k0), (1, 2): as_fraction(k1), (0, 3): as_fraction(alpha)}
-    for (md, value), name in zip(steering.items(), ("k0", "k1", "alpha")):
+    steering = {}
+    for md, name, raw in (((0, 2), "k0", k0), ((1, 2), "k1", k1), ((0, 3), "alpha", alpha)):
+        try:
+            steering[md] = value = as_fraction(raw)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
         if value != 0 and sum(md) > cap:
             raise ValueError(
                 f"{name} = {value} multiplies a degree-{sum(md)} term, above the cap {cap}"

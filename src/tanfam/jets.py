@@ -27,7 +27,9 @@ package uses this order, which makes ranks and reduced matrices
 reproducible byte for byte.
 
 Coefficients must be int, Fraction, or a rational string like "1/5";
-floats are rejected so no rounding can leak into rank computations.
+floats are rejected so no rounding can leak into rank computations, and
+an int or a string above _INPUT_DIGITS digits in its numerator or
+denominator is refused before any arithmetic on it.
 Derivatives are returned at the stored cap, but only their terms of degree
 <= N-1 are trustworthy; consumers that mix derivatives with other jets
 must cap their working degree at N-1.
@@ -64,15 +66,64 @@ IntTable = dict[Exponents, int]
 _VAR_ALIASES = {"ξ": "xi", "τ": "t"}
 
 
+# Most decimal digits the numerator or the denominator of an input number
+# may have.  classify prints the modulus a, whose numerator and
+# denominator have up to four times the digits of k1 and alpha; at this
+# bound they stay below the 4300 digits the interpreter turns into text.
+_INPUT_DIGITS = 1000
+_INPUT_LIMIT = 10**_INPUT_DIGITS
+
+
+def _written_digits(text: str) -> int:
+    """Digits of the numerator or the denominator of a number text,
+    whichever has more, counted on the text before any integer is built.
+
+    'p/q' has the digits of p and q; a decimal 'm.fEx' has those of m and
+    f shifted by the exponent x, so '1e999' and '1e-999' both count 1000.
+    Leading zeros do not count.  Text that is no number counts what it
+    can; Fraction refuses it afterwards.
+    """
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    try:
+        shift = int(exponent or 0)
+    except ValueError:
+        shift = 0
+    numerator, _, denominator = mantissa.partition("/")
+    whole, _, decimals = numerator.partition(".")
+    places = sum(ch.isdigit() for ch in decimals) - shift  # mantissa / 10**places
+    digits = sum(ch.isdigit() for ch in (whole + decimals).lstrip("+-0_"))
+    return max(
+        digits - min(places, 0), places + 1, sum(ch.isdigit() for ch in denominator.lstrip("0_"))
+    )
+
+
+def _shorten(text: str) -> str:
+    """Text for an error line: its two ends when it is long."""
+    return text if len(text) <= 40 else f"{text[:24]}...{text[-12:]}"
+
+
+def _check_digits(text: str, where: str = "") -> None:
+    """Refuse a number text above _INPUT_DIGITS digits; where names its place."""
+    if _written_digits(text) > _INPUT_DIGITS:
+        raise ValueError(
+            f"number {_shorten(text)!r}{where} has more than {_INPUT_DIGITS} digits "
+            "in its numerator or denominator"
+        )
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an exact rational input; floats are refused on purpose."""
+    """Coerce an exact rational input; floats are refused on purpose, and
+    an int or a text above _INPUT_DIGITS digits too."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational coefficient")
     if isinstance(value, int):
+        if abs(value) >= _INPUT_LIMIT:
+            raise ValueError(f"an integer has more than {_INPUT_DIGITS} digits")
         return Fraction(value)
     if isinstance(value, str):
+        _check_digits(value)
         return Fraction(value)
     raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
@@ -586,6 +637,7 @@ def _parse_term(term: str, variables: tuple[str, ...]) -> tuple[Fraction, list[i
             continue
         if seen_coeff:
             raise ValueError(f"cannot parse factor {token!r} in term {term!r}")
+        _check_digits(token, f" in term {_shorten(term)!r}")
         try:
             coeff = Fraction(token)
         except ValueError as exc:

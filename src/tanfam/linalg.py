@@ -17,8 +17,12 @@ its lowest column.  Rank and membership are available at any point.
 The reduced echelon row with pivot j depends only on the echelon rows
 whose pivots lie above j, so reduced_rows(start) back-eliminates just
 the rows with pivot >= start: a reader of the unit rows of a trailing
-block of columns pays for that block alone.  canonical_matrix() is
-reduced_rows(0) written out densely, and the one place rows are.
+block of columns pays for that block alone.  The space caches the
+reduced rows of the lowest start read so far, tagged with its rank:
+rows are only ever added, so an unchanged rank means unchanged rows,
+and that cache answers every start at or above its own.  The cache is
+the one reduced form a space keeps; canonical_matrix() is
+reduced_rows(0) written out densely, and copy() carries the cache along.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class RowSpace:
         self.width = width
         # Echelon rows keyed by pivot column; kept primitive.
         self._rows: dict[int, SparseRow] = {}
+        # (rank, start, reduced rows with pivot >= start) of the lowest start read
+        self._reduced: tuple[int, int, dict[int, SparseRow]] | None = None
 
     @property
     def rank(self) -> int:
@@ -116,6 +122,12 @@ class RowSpace:
     def reduced_rows(self, start: int = 0) -> dict[int, SparseRow]:
         """The rows of the unique reduced echelon form whose pivot is
         >= start, primitive and sparse, keyed by pivot in column order."""
+        cached = self._reduced
+        if cached is None or cached[0] != self.rank or start < cached[1]:
+            cached = self._reduced = (self.rank, start, self._back_eliminate(start))
+        return {col: dict(row) for col, row in cached[2].items() if col >= start}
+
+    def _back_eliminate(self, start: int) -> dict[int, SparseRow]:
         cols = sorted(col for col in self._rows if col >= start)
         rows = [self._rows[c] for c in cols]
         for i in range(len(rows) - 1, -1, -1):
@@ -138,4 +150,5 @@ class RowSpace:
     def copy(self) -> "RowSpace":
         clone = RowSpace(self.width)
         clone._rows = dict(self._rows)
+        clone._reduced = self._reduced
         return clone

@@ -12,10 +12,7 @@ x, y only; the unrestricted equivalence allows x, y, z everywhere.
 The reduced space used in jet-sufficiency steps keeps only source
 multipliers of degree >= 2 (vector fields of positive order) and replaces
 the full pullback module by M*: pullbacks of {y} + m^2 in slot 1,
-{x} + m^2 in slot 2, and {x, y} + m^2 in slot 3.  The multiplier-degree
-threshold is a configuration knob recorded in every verdict, since
-different conventions for "positive order" exist; 2 is the default and
-the one all shipped checks use.
+{x} + m^2 in slot 2, and {x, y} + m^2 in slot 3.
 
 Every space is truncated at a working order W <= cap - 1 (the cap-degree
 terms of the derivatives of f are not trustworthy).  Generators are built
@@ -43,17 +40,19 @@ generator as a Fraction jet at the cap and flattening it would.
 Membership has one primitive, RowSpace.contains.  Unit vectors need no
 call at all: e_j lies in the span exactly when it is a row of the
 reduced echelon form, so block checks and branch probes read the set of
-such columns (absorbed_columns).  They read it from the reduced rows
-whose pivot lies at or after the block's first column, which
-RowSpace.reduced_rows back-eliminates without the rows before it and
-without a dense matrix.  Membership modulo per-slot degree caps
-is membership in a copy of the space with the unit rows of the
-truncated columns added.  TangentSpaceBasis is the one place that knows
-the column layout: it builds the (slot, monomial) -> column index once
-per basis, reads every generator row through it, flatten_triple reads
+such columns (absorbed_columns) from RowSpace.reduced_rows, starting at
+the block's first column.  The row space caches that reduced form, the
+only one a basis has; canonical_matrix writes the same cache out
+densely.  Membership modulo per-slot degree caps is membership in a
+copy of the space with the unit rows of the truncated columns added,
+and the miniversality check adds its complement rows to such a copy.
+TangentSpaceBasis is the one place that knows the column layout and
+the row space: it builds the (slot, monomial) -> column index once per
+basis, reads every generator row through it, flatten_triple reads
 user-given jet triples (membership and complement vectors) through it,
-and block_columns turns per-slot degree thresholds into columns for
-block checks, caps and branch probes alike.
+block_columns turns per-slot degree thresholds into columns for block
+checks, caps and branch probes alike, and _enlarged hands out the
+enlarged copies.
 """
 
 from __future__ import annotations
@@ -77,6 +76,9 @@ from tanfam.jets import (
 from tanfam.linalg import RowSpace, SparseRow, primitive_row
 
 JetTriple = tuple[TruncatedPoly, TruncatedPoly, TruncatedPoly]
+# The reduced space's source multipliers have degree >= 2: vector fields
+# of positive order.
+_REDUCED_MULTIPLIER_DEGREE = 2
 # A generator: its provenance tag, unformatted as (prefix, monomial,
 # variable names), and its slots as (slot, integer table) pairs.
 Generator = tuple[tuple[str, Exponents, Sequence[str]], tuple[tuple[int, IntTable], ...]]
@@ -174,14 +176,7 @@ class TangentSpaceBasis:
     sparse row, which is kept when it enlarges the span.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        germ: MapGerm,
-        order: int,
-        rows: Iterable[Generator],
-        config: dict | None = None,
-    ):
+    def __init__(self, kind: str, germ: MapGerm, order: int, rows: Iterable[Generator]):
         self.kind = kind
         self.germ = germ
         self.order = order
@@ -203,10 +198,6 @@ class TangentSpaceBasis:
             if self._space.add(row):
                 provenance.append(prefix + monomial_text(md, names))
         self.provenance = tuple(provenance)
-        self.config = dict(config or {})
-        self._canonical: list[list[int]] | None = None
-        # (start, RowSpace.reduced_rows(start)) for the lowest start asked for
-        self._reduced: tuple[int, dict] | None = None
 
     @property
     def rank(self) -> int:
@@ -222,9 +213,7 @@ class TangentSpaceBasis:
         return self.dimension - self.rank
 
     def canonical_matrix(self) -> list[list[int]]:
-        if self._canonical is None:
-            self._canonical = self._space.canonical_matrix()
-        return [list(row) for row in self._canonical]
+        return self._space.canonical_matrix()
 
     def column_label(self, index: int) -> dict:
         """Map a flattened column index back to its slot and monomial."""
@@ -250,23 +239,25 @@ class TangentSpaceBasis:
 
         e_j lies in the span exactly when it is a row of the reduced
         echelon form: its one nonzero entry sits in at most one pivot
-        column, so it is a multiple of that pivot's primitive row.  Those
-        rows are read from the canonical matrix when it is already built,
-        and otherwise back-eliminated from column start on only.  The
-        reduced rows of the lowest start so far are kept: the row with
-        pivot j depends only on the rows with pivots above j, so they also
-        answer every later call with a start at or above theirs.
+        column, so it is a multiple of that pivot's primitive row.  The
+        rows are read from RowSpace.reduced_rows(start), which
+        back-eliminates from column start on only and caches the rows of
+        the lowest start read, canonical_matrix included.
         """
-        if self._canonical is not None:
-            rows = zip(self._space.pivot_columns(), self._canonical)
-            return frozenset(
-                j for j, row in rows if j >= start and row.count(0) == len(row) - 1
-            )
-        if self._reduced is None or start < self._reduced[0]:
-            self._reduced = (start, self._space.reduced_rows(start))
-        return frozenset(
-            j for j, row in self._reduced[1].items() if j >= start and len(row) == 1
-        )
+        return frozenset(j for j, row in self._space.reduced_rows(start).items() if len(row) == 1)
+
+    def _enlarged(
+        self, caps: Sequence[int] | None = None, triples: Iterable[JetTriple] = ()
+    ) -> tuple[RowSpace, list[JetTriple]]:
+        """A copy of the span, enlarged by the unit rows of the columns of
+        slot s above degree caps[s], then by each triple in turn; returned
+        with the triples that lay inside it and so did not enlarge it."""
+        space = self._space.copy()
+        if caps is not None:
+            for j in self.block_columns([limit + 1 for limit in caps]):
+                space.add({j: 1})
+        inside = [t for t in triples if not space.add(flatten_triple(t, self._columns))]
+        return space, inside
 
     def contains(
         self, vec: Sequence[TruncatedPoly], caps: Sequence[int] | None = None
@@ -276,16 +267,11 @@ class TangentSpaceBasis:
         With caps = (p, q, r), the monomials of slot s above degree caps[s]
         are quotiented out: their unit rows join a copy of the space.
         """
-        row = flatten_triple(_coerce_triple(vec, self.germ), self._columns)
-        space = self._space
-        if caps is not None:
-            space = space.copy()
-            for j in self.block_columns([limit + 1 for limit in caps]):
-                space.add({j: 1})
-        return space.contains(row)
+        space, _ = self._enlarged(caps)
+        return space.contains(flatten_triple(_coerce_triple(vec, self.germ), self._columns))
 
     def to_verdict(self) -> dict:
-        verdict = {
+        return {
             "kind": self.kind,
             "order": self.order,
             "dimension": self.dimension,
@@ -293,8 +279,6 @@ class TangentSpaceBasis:
             "codimension": self.codimension,
             "germ": list(self.germ.to_texts()),
         }
-        verdict.update(self.config)
-        return verdict
 
     def __repr__(self) -> str:
         return (
@@ -325,13 +309,10 @@ def build_extended_tangent_space(
 def build_reduced_tangent_space(
     f: "MapGerm | Sequence[TruncatedPoly]",
     order: int | None = None,
-    source_min_degree: int = 2,
 ) -> TangentSpaceBasis:
     """Reduced tangent space: positive-order source part plus the M* module."""
     germ = _as_map_germ(f)
     order = resolve_order(germ, order)
-    if source_min_degree < 1:
-        raise ValueError("source_min_degree must be >= 1 for a reduced space")
     planar_sq = _monomial_tuple(2, 2, order)
     spatial_sq = _monomial_tuple(3, 2, order)
     slots = (
@@ -340,10 +321,9 @@ def build_reduced_tangent_space(
         ((1, 0, 0), (0, 1, 0)) + spatial_sq,  # {x, y} + m^2 in x, y, z
     )
     rows = chain(
-        _source_rows(germ, order, source_min_degree), _pullback_rows(germ, order, slots)
+        _source_rows(germ, order, _REDUCED_MULTIPLIER_DEGREE), _pullback_rows(germ, order, slots)
     )
-    config = {"source_min_degree": source_min_degree}
-    return TangentSpaceBasis(f"{KIND_FIBERED}-reduced", germ, order, rows, config)
+    return TangentSpaceBasis(f"{KIND_FIBERED}-reduced", germ, order, rows)
 
 
 class BlockCheck(NamedTuple):
@@ -399,7 +379,6 @@ def jet_sufficiency_step(
     perturbation: Sequence[TruncatedPoly],
     degrees: Sequence[int] | None = None,
     order: int | None = None,
-    source_min_degree: int = 2,
 ) -> bool:
     """Can the perturbation be absorbed at its own jet level?
 
@@ -434,7 +413,7 @@ def jet_sufficiency_step(
         raise ValueError(
             f"slot degrees {degrees} exceed the working order {order}"
         )
-    basis = build_reduced_tangent_space(germ, order, source_min_degree)
+    basis = build_reduced_tangent_space(germ, order)
     return basis.contains(triple, caps=degrees)
 
 
@@ -461,15 +440,9 @@ def miniversality_check(
     triples = [_coerce_triple(vec, germ) for vec in complement]
     block_check = contains_ideal_block(basis, *block) if block is not None else None
 
-    space = basis._space.copy()
-    inside: list[list[str]] = []
-    added = 0
-    for triple in triples:
-        if space.add(flatten_triple(triple, basis._columns)):
-            added += 1
-        else:
-            inside.append([comp.to_text() for comp in triple])
-    direct = added == len(triples)
+    space, inside = basis._enlarged(triples=triples)
+    added = len(triples) - len(inside)
+    direct = not inside
     spans = direct and space.rank == basis.dimension
 
     defect: list[dict] = []
@@ -486,7 +459,7 @@ def miniversality_check(
             "complement_size": len(triples),
             "complement_added": added,
             "direct_sum": direct,
-            "dependent_complement_vectors": inside,
+            "dependent_complement_vectors": [[c.to_text() for c in t] for t in inside],
             "spans": spans,
             "defect": defect,
             "certified_block": None if block is None else list(block),

@@ -8,8 +8,11 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -232,6 +235,57 @@ def test_classify_input_json_the_decoder_refuses_is_malformed(capsys, raw, reaso
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "data, place",
+    [
+        ({"k0": "0", "k1": "1e5000", "alpha": "1"}, "k1: number '1e5000'"),
+        ({"u": "1e5000 xi t^2 + 1 t^3"}, "number '1e5000' in term '1e5000 xi t^2'"),
+        ({"k0": "0", "k1": "1e3000000", "alpha": "1"}, "k1: number '1e3000000'"),
+        ({"k0": "0", "k1": "1", "alpha": "1e999999999"}, "alpha: number '1e999999999'"),
+        ({"k0": "1e-1000", "k1": "1", "alpha": "1"}, "k0: number '1e-1000'"),
+        ({"k0": "0", "k1": 10**1000, "alpha": "1"}, "k1: an integer"),
+        ({"k0": "0", "k1": "1", "alpha": "1/" + "7" * 1001}, "alpha: number '1/7777"),
+    ],
+)
+def test_classify_refuses_numbers_above_the_digit_bound(capsys, data, place):
+    # 1e5000 once ended in a traceback after the whole classification ran,
+    # when the payload was printed; 1e3000000 ran for over a minute
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--input", json.dumps(data))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err.startswith(f"error: bad family input: {place}")
+    assert "more than 1000 digits" in err and len(err.splitlines()) == 1
+
+
+def test_classify_names_the_key_of_a_json_float(capsys):
+    # the JSON number 1e5000 is a float (inf), refused as every float is
+    raw = '{"k0": "0", "k1": 1e5000, "alpha": "1"}'
+    code, out, err = run(capsys, "classify", "--input", raw)
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == (
+        "error: bad family input: k1: expected int, Fraction, or 'p/q' string, got float\n"
+    )
+
+
+def _at_the_bound(rng):
+    """A fraction whose numerator and denominator have 1000 digits each."""
+    return f"{rng.randrange(10**999, 10**1000)}/{rng.randrange(10**999, 10**1000)}"
+
+
+def test_numbers_at_the_digit_bound_classify_and_print(capsys):
+    rng = random.Random(16)
+    k1, alpha = _at_the_bound(rng), _at_the_bound(rng)
+    for data in ({"k0": "0", "k1": k1, "alpha": alpha}, {"u": f"{k1} xi t^2 + {alpha} t^3"}):
+        code, payload, err = run_json(capsys, "classify", "--input", json.dumps(data))
+        assert (code, err) == (EXIT_OK, "")
+        check_schema(payload, "classify")
+        # a carries about four times the digits of k1 and alpha
+        assert len(payload["a"]) > 3900
+    code, out, _ = run(capsys, "classify", "--input", json.dumps({"u": "1e999 xi t^2 + 1 t^3"}))
+    assert code == EXIT_OK and out
+
+
 def test_classify_out_redirects_payload(capsys, tmp_path):
     out_file = tmp_path / "verdict.json"
     code, out, _ = run(
@@ -259,6 +313,14 @@ def test_verify_fold_sufficiency(capsys):
     assert payload["agrees"] is True
     assert payload["order"] == 4
     check_schema(payload, "verify")
+
+
+@pytest.mark.parametrize("flags", [["--a", "1/5"], ["--b", "7"], ["--a", "1/5", "--b", "1"]])
+def test_verify_fold_sufficiency_refuses_moduli(capsys, flags):
+    # the fold check has no moduli; --a and --b were once ignored silently
+    code, out, err = run(capsys, "verify", "--kind", "fold-sufficiency", *flags)
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == "error: --a/--b do not apply to fold-sufficiency\n"
 
 
 def test_verify_ideal_block_generic_modulus(capsys):
@@ -364,6 +426,36 @@ def test_a_zero_denominator_is_a_bad_fraction_value(capsys, argv, bad):
         main(argv)
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {bad}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["verify", "--kind", "ideal-block", "--a"], "1e5000"),
+        (["verify", "--kind", "miniversal", "--a", "1/5", "--b"], "1e999999999"),
+        pytest.param(["sweep", "--a"], "-" + "9" * 1001, id="sweep-1001 digits"),
+    ],
+)
+def test_moduli_above_the_digit_bound_are_bad_fraction_values(capsys, argv, value):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv[:-1], f"{argv[-1]}={value}"])
+    assert time.perf_counter() - start < 1
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {argv[-1]}: invalid Fraction value: {value!r}\n"
+    )
+
+
+def test_moduli_at_the_digit_bound_verify_and_print(capsys):
+    rng = random.Random(16)
+    a, b = "-" + _at_the_bound(rng), _at_the_bound(rng)
+    code, payload, err = run_json(
+        capsys, "verify", "--kind", "ideal-block", f"--a={a}", f"--b={b}"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert payload["params"] == {"a": str(Fraction(a)), "b": str(Fraction(b))}
+    check_schema(payload, "verify")
 
 
 # ---------------------------------------------------------------------------

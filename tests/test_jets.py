@@ -39,6 +39,41 @@ def test_as_fraction_accepts_exact_inputs():
     assert as_fraction("-0.5") == Fraction(-1, 2)
 
 
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        pytest.param("9" * 1000, True, id="1000 digits"),
+        pytest.param("9" * 1001, False, id="1001 digits"),
+        # leading zeros do not count
+        pytest.param("0" * 2000 + "1", True, id="leading zeros"),
+        pytest.param("1/" + "9" * 1000, True, id="denominator of 1000 digits"),
+        pytest.param("1/" + "9" * 1001, False, id="denominator of 1001 digits"),
+        ("1e999", True),
+        ("1e1000", False),
+        ("1e-999", True),
+        ("1e-1000", False),
+        pytest.param("0." + "0" * 998 + "1", True, id="999 decimal places"),
+        pytest.param("0." + "0" * 999 + "1", False, id="1000 decimal places"),
+        # Fraction would build 10**5000 to multiply it by zero
+        ("0e5000", False),
+        ("1e999999999", False),
+        pytest.param(10**1000 - 1, True, id="int of 1000 digits"),
+        pytest.param(-(10**1000), False, id="int of 1001 digits"),
+    ],
+)
+def test_as_fraction_bounds_the_digits_of_input_numbers(value, accepted):
+    if accepted:
+        assert as_fraction(value) == Fraction(value)
+    else:
+        with pytest.raises(ValueError, match="more than 1000 digits"):
+            as_fraction(value)
+
+
+def test_parse_names_the_term_of_a_number_above_the_digit_bound():
+    with pytest.raises(ValueError, match=r"number '1e1000' in term '1e1000 t\^3' has more"):
+        TruncatedPoly.from_text(("xi", "t"), "1 xi t^2 + 1e1000 t^3")
+
+
 def test_as_fraction_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         as_fraction(0.1)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanfam.linalg import RowSpace, primitive_row
@@ -125,11 +125,15 @@ def test_rowspace_copy_is_independent():
     assert not space.contains({1: 1})
 
 
-def _rank(rows, width):
+def _space_of(width, rows):
     space = RowSpace(width)
     for row in rows:
         space.add(row)
-    return space.rank
+    return space
+
+
+def _rank(rows, width):
+    return _space_of(width, rows).rank
 
 
 def test_matrix_rank():
@@ -146,18 +150,19 @@ def test_matrix_rank():
     ]
 
 
-_RATIONAL_ROWS = st.integers(1, 7).flatmap(
-    lambda width: st.tuples(
-        st.just(width),
-        st.lists(
-            st.dictionaries(
-                st.integers(0, width - 1),
-                st.fractions(min_value=-5, max_value=5, max_denominator=6),
-                max_size=width,
-            ),
-            max_size=8,
+def _rows_of_width(width):
+    return st.lists(
+        st.dictionaries(
+            st.integers(0, width - 1),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+            max_size=width,
         ),
+        max_size=8,
     )
+
+
+_RATIONAL_ROWS = st.integers(1, 7).flatmap(
+    lambda width: st.tuples(st.just(width), _rows_of_width(width))
 )
 
 
@@ -176,3 +181,36 @@ def test_reduced_rows_from_every_start_match_the_canonical_matrix(case):
         for col, row in reduced.items():
             assert row == {j: v for j, v in enumerate(canon[pivots.index(col)]) if v}
             assert min(row) == col
+
+
+# (width, rows, rows added after the read, start read, add to a copy?)
+_GROWN_SPACES = st.integers(1, 7).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        _rows_of_width(width),
+        _rows_of_width(width),
+        st.integers(0, width),
+        st.booleans(),
+    )
+)
+
+
+def _reduced_forms(space):
+    starts = range(space.width + 1)
+    return space.canonical_matrix(), [space.reduced_rows(start) for start in starts]
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(_GROWN_SPACES)
+@example((2, [{0: 1}], [{1: 1}], 0, False))
+@example((2, [{0: 1}], [{1: 1}], 0, True))
+def test_reduced_rows_read_before_rows_are_added_match_a_fresh_space(case):
+    width, rows, more, read_start, on_copy = case
+    space = _space_of(width, rows)
+    space.reduced_rows(read_start)
+    target = space.copy() if on_copy else space
+    for row in more:
+        target.add(row)
+    assert _reduced_forms(target) == _reduced_forms(_space_of(width, rows + more))
+    if on_copy:
+        assert _reduced_forms(space) == _reduced_forms(_space_of(width, rows))

@@ -527,13 +527,13 @@ def test_block_checks_and_classify_build_no_dense_matrix(monkeypatch):
 
 def test_block_checks_on_one_basis_back_eliminate_once_per_lower_start(monkeypatch):
     calls = []
-    reduced = RowSpace.reduced_rows
+    back_eliminate = RowSpace._back_eliminate
 
-    def counted(self, start=0):
+    def counted(self, start):
         calls.append(start)
-        return reduced(self, start)
+        return back_eliminate(self, start)
 
-    monkeypatch.setattr(RowSpace, "reduced_rows", counted)
+    monkeypatch.setattr(RowSpace, "_back_eliminate", counted)
     germ = double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10)
     # the fourth block starts where the first does, the last one lower
     blocks = [(3, 5, 4), (4, 4, 4), (5, 6, 5), (3, 3, 3), (6, 6, 6), (2, 9, 9)]
