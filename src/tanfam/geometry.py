@@ -48,6 +48,7 @@ from tanfam.jets import (
     MODE_VERSAL,
     MapGerm,
     TruncatedPoly,
+    monomial_text,
 )
 
 CHART_EPSILON = 1e-8
@@ -164,10 +165,18 @@ class DeformationParams:
 
 
 def coefficient_array(p: TruncatedPoly) -> np.ndarray:
-    """Dense float coefficient grid c[i, j] of xi^i t^j (axis 0 is xi)."""
+    """Dense float coefficient grid c[i, j] of xi^i t^j (axis 0 is xi).
+
+    A coefficient beyond the float range raises ValueError naming its
+    monomial.
+    """
     c = np.zeros((p.cap + 1, p.cap + 1))
     for (e_xi, e_t), value in p.terms():
-        c[e_xi, e_t] = float(value)
+        try:
+            c[e_xi, e_t] = float(value)
+        except OverflowError:
+            monomial = monomial_text((e_xi, e_t), p.variables)
+            raise ValueError(f"the coefficient of {monomial} is beyond the float range") from None
     return c
 
 
@@ -225,7 +234,8 @@ def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray
     for k in range(2, len(inner) + 1):
         np.multiply(acc, t, out=acc)
         np.add(inner[-k], acc, out=acc)
-    return acc[()]  # a 0-d result becomes a numpy scalar, as from polyval
+    # an array result is acc itself; a 0-d one becomes a numpy scalar, as from polyval
+    return acc if acc.ndim else acc[()]
 
 
 class PlanarMap:
@@ -441,25 +451,78 @@ def _cell_segments(values: np.ndarray) -> tuple[np.ndarray, set[int]]:
     Rows of the first result come in row-major cell order; the set holds
     the four edges of every ambiguous cell.  Edge ids are those of _march.
 
-    The crossing cells (cases 1-14) are found in one pass over the flat
-    uint8 case array: case - 1 wraps case 0 to 255, so (case - 1) < 14
-    holds for exactly those cases.  flatnonzero lists the cells of the
-    C-ordered (N-1) x (M-1) case array in row-major order, the order of a
-    2-D nonzero, and divmod by M - 1 gives back (i, j).  The split into
-    ambiguous and segment cells is a mask over that short list, which
-    keeps its order.
+    The crossing cells (cases 1-14) are found from the edge sign changes,
+    in three boolean passes: h marks the crossed t-edges, v the crossed
+    xi-edges, and a cell is crossed when its left (h[:-1]), right (h[1:])
+    or bottom (v) edge is, since a cell crosses an even number of its four
+    edges.  flatnonzero lists the C-ordered (N-1) x (M-1) cells in
+    row-major order, the order of a 2-D nonzero; cell k = i*(M-1) + j has
+    its (i, j) corner at k + k // (M-1) = i*M + j in the flat sign array,
+    and the case of only those cells is read from their four corners
+    there.  The split into ambiguous and segment cells is a mask over that
+    short list, which keeps its order.
     """
     n, m = values.shape
-    signs = (values >= 0.0).astype(np.uint8)
-    case = signs[:-1, :-1] | signs[1:, :-1] << 1 | signs[1:, 1:] << 2 | signs[:-1, 1:] << 3
-    cells = np.flatnonzero((case - 1) < 14)
-    kinds = case.ravel()[cells]
-    i, j = np.divmod(cells, m - 1)
-    corner = i * m + j
+    signs = values >= 0.0
+    h = signs[:, :-1] != signs[:, 1:]
+    v = signs[:-1, :-1] != signs[1:, :-1]
+    cells = np.flatnonzero(h[:-1] | h[1:] | v)
+    corner = cells + cells // (m - 1)
+    flat = signs.ravel().view(np.uint8)
+    kinds = flat[corner] | flat[corner + m] << 1 | flat[corner + m + 1] << 2 | flat[corner + 1] << 3
     offsets = np.array([0, m, n * m, n * m + 1])
     ambiguous = (kinds == 5) | (kinds == 10)
     segments = corner[~ambiguous][:, None] + offsets[_CASE_EDGES[kinds[~ambiguous]]]
     return segments, set((corner[ambiguous][:, None] + offsets).ravel().tolist())
+
+
+def _chains(segments: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The edge ids of the chains that segments form, end to end, and their lengths.
+
+    Every chain is a simple path or cycle, since an edge borders at most
+    two cells.  Paths come first, ordered by their lower end and walked
+    from it, then cycles, each from its lowest edge towards the lower of
+    that edge's neighbours and back to it (a cycle lists its start twice).
+
+    The crossed edges get compact node ids in increasing edge order
+    (np.unique), so ordering by node is ordering by edge.  near0[k] and
+    near1[k] are node k's two neighbours (near1[k] is -1 at a path end),
+    in no particular order: the walk leaves each node by the neighbour it
+    did not come from, and a cycle starts towards the lower one, so the
+    order never shows.  The walk runs over these plain lists, and a
+    bytearray marks seen nodes.
+    """
+    edges, ends = np.unique(segments.ravel(), return_inverse=True)
+    across = ends.reshape(-1, 2)[:, ::-1].ravel()  # the other end of each segment end
+    near0 = np.full(len(edges), -1)
+    near0[ends] = across  # one of each node's neighbours
+    other = across != near0[ends]
+    near1 = np.full(len(edges), -1)
+    near1[ends[other]] = across[other]
+    path_ends = np.flatnonzero(near1 < 0).tolist()
+    near0, near1 = near0.tolist(), near1.tolist()
+
+    nodes: list[int] = []
+    lengths: list[int] = []
+    seen = bytearray(len(edges))
+    for begin in path_ends + list(range(len(edges))):
+        if seen[begin]:
+            continue
+        size = len(nodes)
+        nodes.append(begin)
+        seen[begin] = 1
+        previous, node = begin, near0[begin]
+        if 0 <= near1[begin] < node:
+            node = near1[begin]
+        while True:
+            nodes.append(node)
+            seen[node] = 1
+            after = near1[node]
+            if node == begin or after < 0:
+                break
+            previous, node = node, near0[node] if after == previous else after
+        lengths.append(len(nodes) - size)
+    return edges[np.array(nodes, dtype=np.intp)], lengths
 
 
 def _march(values: np.ndarray, xi: np.ndarray, t: np.ndarray) -> list[_OpenCurve]:
@@ -468,46 +531,17 @@ def _march(values: np.ndarray, xi: np.ndarray, t: np.ndarray) -> list[_OpenCurve
     Grid edges get integer ids: the t-edge from sample (i, j) to (i, j+1)
     is i*M + j, the xi-edge from (i, j) to (i+1, j) is N*M + i*M + j.
     Every non-ambiguous cell adds one segment between its two crossed
-    edges, and an edge borders at most two cells, so the segments chain
-    into simple paths and cycles by stepping to the other neighbour.
-    Ambiguous cells (diagonal sign pattern) add no segment; a path ending
-    on one of their edges gets a loose end for node repair.  Paths come
-    first, ordered by their lower end, then cycles, each from its lowest
-    edge towards the lower of that edge's neighbours.
-
-    The segments arrive in row-major cell order from one flat pass over
-    the cells (_cell_segments), the order a 2-D nonzero gives, so each
-    edge's neighbour list and with it every chain is built in the same
-    order as from a cell-by-cell scan.
+    edges (_cell_segments), and the segments chain into simple paths and
+    cycles (_chains), each point placed on its edge by linear
+    interpolation.  Ambiguous cells (diagonal sign pattern) add no
+    segment; a path ending on one of their edges gets a loose end for
+    node repair.
     """
     n, m = values.shape
     segments, junction_edges = _cell_segments(values)
-    neighbours: dict[int, list[int]] = {}
-    for a, b in segments.tolist():
-        neighbours.setdefault(a, []).append(b)
-        neighbours.setdefault(b, []).append(a)
-
-    chains: list[list[int]] = []
-    seen: set[int] = set()
-    path_ends = sorted(node for node, near in neighbours.items() if len(near) == 1)
-    for start in path_ends + sorted(neighbours):
-        if start in seen:
-            continue
-        chain = [start]
-        seen.add(start)
-        previous, node = start, min(neighbours[start])
-        while True:
-            chain.append(node)
-            seen.add(node)
-            near = neighbours[node]
-            if node == start or len(near) == 1:
-                break
-            previous, node = node, near[0] if near[1] == previous else near[1]
-        chains.append(chain)
-    if not chains:
+    if not len(segments):
         return []
-
-    ids = np.array([edge for chain in chains for edge in chain])
+    ids, lengths = _chains(segments)
     along_t = ids < n * m
     i, j = np.divmod(np.where(along_t, ids, ids - n * m), m)
     i2 = np.where(along_t, i, i + 1)
@@ -519,17 +553,18 @@ def _march(values: np.ndarray, xi: np.ndarray, t: np.ndarray) -> list[_OpenCurve
     points = list(zip(xs.tolist(), ts.tolist()))
     curves = []
     first = 0
-    for chain in chains:
-        closed = chain[0] == chain[-1]
+    for length in lengths:
+        head, tail = int(ids[first]), int(ids[first + length - 1])
+        closed = head == tail
         curves.append(
             _OpenCurve(
-                points[first : first + len(chain)],
+                points[first : first + length],
                 closed=closed,
-                loose_start=not closed and chain[0] in junction_edges,
-                loose_end=not closed and chain[-1] in junction_edges,
+                loose_start=not closed and head in junction_edges,
+                loose_end=not closed and tail in junction_edges,
             )
         )
-        first += len(chain)
+        first += length
     return curves
 
 
@@ -980,27 +1015,54 @@ def legendrian_lift(
     |dx| < epsilon * |dy| the reciprocal chart q = dx/dy is stored
     instead and the sample is tagged.  Samples with dx = dy = 0 are
     marked invalid rather than raising.
+
+    x, y, dx and dy are each evaluated on only the grid axes they depend
+    on (_own_axes, as in PlanarMap.det); for an adapted family dx is the
+    constant 1.  The chart test runs before dx is broadcast: epsilon *
+    |dy| is formed in the slope buffer and compared with |dx| into the
+    chart array.  The plain dy / dx then goes over the whole slope buffer,
+    and masked passes rewrite only the reciprocal samples with dx / dy and
+    the invalid ones with +0.0.  Per sample these are the operations of
+    the masked divides over full grids, so the bits are the same.  Every
+    returned array has the grid's shape and owns its data.
     """
     grid = grid if grid is not None else GridSpec()
     planar = as_planar_map(target)
-    mesh_xi, mesh_t = grid.mesh()
-    x, y = planar(mesh_xi, mesh_t)
-    d_x = _evaluate(planar._d1_t, mesh_xi, mesh_t)
-    d_y = _evaluate(planar._d2_t, mesh_xi, mesh_t)
-    invalid = (d_x == 0.0) & (d_y == 0.0)
-    # False wherever d_x = d_y = 0, since 0 < epsilon * 0 fails.
-    reciprocal = np.abs(d_x) < epsilon * np.abs(d_y)
-    slope = np.zeros_like(d_x)
-    np.divide(d_y, d_x, out=slope, where=~reciprocal & ~invalid)
-    np.divide(d_x, d_y, out=slope, where=reciprocal)
+    xi, t = grid.mesh()
+    shape = (grid.resolution_xi, grid.resolution_t)
+    mesh = _is_open_mesh(xi, t)
+
+    def own(c):
+        return _evaluate(c, *_own_axes(c, xi, t, mesh))
+
+    def full(values):
+        if values.shape == shape:
+            return values
+        out = np.empty(shape)
+        out[...] = values
+        return out
+
+    d_x, d_y = own(planar._d1_t), full(own(planar._d2_t))
+    slope = np.empty(shape)
+    np.abs(d_y, out=slope)
+    np.multiply(epsilon, slope, out=slope)
+    chart = np.empty(shape, dtype=np.uint8)
+    # 0 where d_x = d_y = 0, since 0 < epsilon * 0 fails
+    np.less(np.abs(d_x), slope, out=chart)
+    invalid = d_y == 0.0
+    invalid &= d_x == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(d_y, d_x, out=slope)
+    np.divide(d_x, d_y, out=slope, where=chart.view(bool))
+    np.copyto(slope, 0.0, where=invalid)
     return LiftedSurface(
         grid=grid,
-        x=np.asarray(x, dtype=float),
-        y=np.asarray(y, dtype=float),
+        x=full(own(planar.c1)),
+        y=full(own(planar.c2)),
         slope=slope,
-        chart=reciprocal.astype(np.uint8),
+        chart=chart,
         invalid=invalid,
-        d_x=d_x,
+        d_x=full(d_x),
         d_y=d_y,
         epsilon=epsilon,
     )

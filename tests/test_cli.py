@@ -661,6 +661,23 @@ def test_sweep_determinant_overflow_is_malformed(capsys, tmp_path):
     assert err.startswith("error:") and "not finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, monomial",
+    [
+        (("sweep", "--a=-1e400", "--lambdas=0.1"), "xi^2 t"),
+        (("envelope", "--input", '{"u": "1 xi t^2 + ' + "9" * 400 + ' t^3"}'), "t^3"),
+    ],
+    ids=["sweep-a", "envelope-u"],
+)
+def test_a_coefficient_beyond_the_float_range_is_malformed(capsys, tmp_path, argv, monomial):
+    # before, an OverflowError traceback from float() on the exact coefficient
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--grid", "32", "--out", str(out_path))
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == f"error: the coefficient of {monomial} is beyond the float range\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("domain", ["1e-170", "1e-320"])
 @pytest.mark.parametrize(
     "command",

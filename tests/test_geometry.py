@@ -41,7 +41,9 @@ from tanfam.geometry import (
     legendrian_lift,
     trace_criminant,
     _cell_segments,
+    _chains,
     _evaluate,
+    _march,
     _own_axes,
     _turn_candidates,
     _turn_degrees,
@@ -53,6 +55,8 @@ T = TruncatedPoly.variable(SOURCE_VARS, "t", 8)
 
 TYPE_I = MapGerm((XI + T, T * T))
 TYPE_II = MapGerm((XI + T, T * T * XI))
+# the float benchmark's lift input: d_x is the constant 1
+ADAPTED = MapGerm((XI + T, TruncatedPoly.from_text(SOURCE_VARS, "1/2 xi t^2 + 3/2 t^3", 8)))
 # det = 2 t + 2 xi^4 t - 20 xi^3 t^6, of degree 9 > cap 8
 HIGH_DEGREE = MapGerm(
     (
@@ -404,10 +408,15 @@ def test_own_axes_determinant_matches_the_full_grid_reference(c1, c2, samples):
 @pytest.mark.parametrize(
     "target, epsilon",
     [(BEAKS_FRAME, CHART_EPSILON), (MapGerm((T * T, T**3)), 1.0), (MapGerm((T * T, T)), 0.5),
-     (_KERNEL_MAPS["random"], 0.3), (_KERNEL_MAPS["signed-zeros"], 2.0)],
-    ids=["beaks", "invalid-row", "vertical", "random", "signed-zeros"],
+     (_KERNEL_MAPS["random"], 0.3), (_KERNEL_MAPS["signed-zeros"], 2.0),
+     (ADAPTED, CHART_EPSILON),
+     (MapGerm((XI * XI * T + T, T**3 - XI * T)), 0.5)],
+    ids=["beaks", "invalid-row", "vertical", "random", "signed-zeros", "adapted", "dx-of-xi"],
 )
 def test_lift_matches_the_boolean_index_reference(target, epsilon):
+    """Bits of every field; each a full-grid, C-ordered, writeable array
+    that owns its data, also where an entry depends on one axis or none
+    (d_x is 1 for the adapted family and 1 + xi^2 for dx-of-xi)."""
     planar = as_planar_map(target)
     grid = GridSpec(-1.0, 0.6, -1.0, 1.0, 37, 41)  # t = 0 is a sample
     lift = legendrian_lift(planar, grid, epsilon)
@@ -417,6 +426,10 @@ def test_lift_matches_the_boolean_index_reference(target, epsilon):
     x, y = (_reference_evaluate(c, *grid.mesh()) for c in (planar.c1, planar.c2))
     _assert_same_value(lift.x, x)
     _assert_same_value(lift.y, y)
+    for key in ("x", "y", "slope", "chart", "invalid", "d_x", "d_y"):
+        flags = getattr(lift, key).flags
+        assert getattr(lift, key).shape == (37, 41), key
+        assert flags.c_contiguous and flags.writeable and flags.owndata, key
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (31, 17), (64, 64)])
@@ -434,6 +447,94 @@ def test_cell_segments_match_the_two_dimensional_nonzero(shape):
         want_segments, want_edges = _reference_cell_segments(values)
         _assert_same_value(got_segments, want_segments)
         assert got_edges == want_edges
+
+
+def _reference_march(values, xi, t):
+    """Chains of edge ids and (points, closed, loose_start, loose_end) per
+    curve, from per-edge neighbour lists in a dict."""
+    n, m = values.shape
+    segments, junction_edges = _reference_cell_segments(values)
+    neighbours = {}
+    for a, b in segments.tolist():
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    chains = []
+    seen = set()
+    path_ends = sorted(node for node, near in neighbours.items() if len(near) == 1)
+    for start in path_ends + sorted(neighbours):
+        if start in seen:
+            continue
+        chain = [start]
+        seen.add(start)
+        previous, node = start, min(neighbours[start])
+        while True:
+            chain.append(node)
+            seen.add(node)
+            near = neighbours[node]
+            if node == start or len(near) == 1:
+                break
+            previous, node = node, near[0] if near[1] == previous else near[1]
+        chains.append(chain)
+    curves = []
+    for chain in chains:
+        ids = np.array(chain)
+        along_t = ids < n * m
+        i, j = np.divmod(np.where(along_t, ids, ids - n * m), m)
+        i2 = np.where(along_t, i, i + 1)
+        j2 = np.where(along_t, j + 1, j)
+        va = values[i, j]
+        s = va / (va - values[i2, j2])
+        xs = np.where(along_t, xi[i], xi[i] + s * (xi[i2] - xi[i]))
+        ts = np.where(along_t, t[j] + s * (t[j2] - t[j]), t[j])
+        closed = chain[0] == chain[-1]
+        loose_start = not closed and chain[0] in junction_edges
+        loose_end = not closed and chain[-1] in junction_edges
+        curves.append((np.stack([xs, ts], axis=1), closed, loose_start, loose_end))
+    return chains, curves
+
+
+def _march_grids():
+    """(values, xi, t) by name: seeded, signed-zero, shaped and constant grids."""
+    grids = []
+    for shape in [(2, 2), (2, 9), (9, 2), (31, 17), (64, 64)]:
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + 7)
+        xi, t = GridSpec(-1.0, 1.0, -0.5, 0.5, *shape).mesh()
+        grids.append((f"normal-{shape}", rng.normal(size=shape), xi, t))
+        # ambiguous cells, signed zeros and zero samples shared by several edges
+        grids.append((f"zeros-{shape}", rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape), xi, t))
+    xi, t = GridSpec.square(1.0, 41).mesh()
+    grids += [
+        ("circle", xi * xi + t * t - 0.25, xi, t),
+        # two lines crossing at the centre of a cell, which is ambiguous
+        ("node", (t - 0.025 - 0.9 * (xi - 0.025)) * (t - 0.025 + 1.1 * (xi - 0.025)), xi, t),
+        ("border", xi + t * t - 0.3, xi, t),  # paths from border to border
+        ("positive", xi * xi + t * t + 1.0, xi, t),
+        ("row-pair", np.array([[1.0, -1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0, 1.0]]),
+         *GridSpec(0.0, 1.0, 0.0, 1.0, 2, 5).mesh()),
+        ("column-pair", np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]),
+         *GridSpec(0.0, 1.0, 0.0, 1.0, 5, 2).mesh()),
+    ]
+    return [pytest.param(*grid, id=grid[0]) for grid in grids]
+
+
+@pytest.mark.parametrize("name, values, xi, t", _march_grids())
+def test_march_matches_the_dict_walk_reference(name, values, xi, t):
+    xi, t = xi.ravel(), t.ravel()
+    want_chains, want_curves = _reference_march(values, xi, t)
+    ids, lengths = _chains(_cell_segments(values)[0])
+    assert lengths == [len(chain) for chain in want_chains]
+    assert ids.tolist() == [edge for chain in want_chains for edge in chain]
+    got = _march(values, xi, t)
+    assert len(got) == len(want_curves)
+    for curve, (points, closed, loose_start, loose_end) in zip(got, want_curves):
+        _assert_same_bits(np.array(curve.points).reshape(-1, 2), points)
+        assert (curve.closed, curve.loose_start, curve.loose_end) == (closed, loose_start, loose_end)
+    if name == "positive":
+        assert got == []
+    if name == "circle":
+        assert [curve.closed for curve in got] == [True]
+    if name == "node":  # four arms, each with a loose end at the crossing
+        assert sum(curve.loose_start + curve.loose_end for curve in got) == 4
 
 
 def test_turn_prefilter_passes_every_sharp_turn():
@@ -884,6 +985,29 @@ def test_shared_determinant_grids_are_keyed_by_coefficient_bytes():
     # j11 = 1 in the umbrella maps and in (xi + t, t^2 xi), two more j11 in the
     # others; one j12 * j21 per a and mode (not per lambda), three more
     assert len(shared) == 3 + 4 + 3
+
+
+@pytest.mark.parametrize(
+    "target",
+    [ADAPTED, BEAKS_FRAME],
+    ids=["adapted", "beaks"],
+)
+def test_lift_peak_memory_stays_near_its_outputs(target):
+    """tracemalloc's peak over a lift at grid 256, per sample.
+
+    The seven returned arrays hold 42 bytes per sample (five float64, the
+    uint8 chart and the bool mask).  Evaluating every field on the full
+    grid and dividing under full-grid masks peaked at about 50.2.
+    """
+    grid = GridSpec.square(1.0, 256)
+    legendrian_lift(target, grid)  # first-call caches
+    tracemalloc.start()
+    try:
+        legendrian_lift(target, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 256 * 256
 
 
 def test_sweep_peak_memory_stays_below_the_full_grid_determinant():
