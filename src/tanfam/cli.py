@@ -55,6 +55,7 @@ from tanfam.jets import (
     _check_digits,
 )
 from tanfam.tangent import (
+    _UMBRELLA_BLOCK,
     build_extended_tangent_space,
     build_reduced_tangent_space,
     contains_ideal_block,
@@ -233,7 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         params = {"a": str(args.a), "b": str(args.b)}
         if args.kind == "ideal-block":
             basis = build_extended_tangent_space(germ, args.order)
-            check = contains_ideal_block(basis, 3, 5, 4)
+            check = contains_ideal_block(basis, *_UMBRELLA_BLOCK)
             predicted, measured = args.a not in _EXCLUDED_MODULI, check.holds
             detail = check.to_json()
         else:

@@ -69,8 +69,8 @@ def _world_bounds(curves: PlaneCurveSet) -> tuple[float, float, float, float]:
     return x_min, x_max, y_min, y_max
 
 
-def svg_document(curves: PlaneCurveSet, size: int = SVG_SIZE) -> str:
-    """Render a curve set as a standalone SVG 1.1 document.
+def svg_document(curves: PlaneCurveSet) -> str:
+    """Render a curve set as a standalone SVG 1.1 document, SVG_SIZE wide.
 
     One polyline per branch (palette color by branch position, tag kept
     as a data attribute), one circle per cusp.  The world box is fitted
@@ -79,20 +79,20 @@ def svg_document(curves: PlaneCurveSet, size: int = SVG_SIZE) -> str:
     """
     x_min, x_max, y_min, y_max = _world_bounds(curves)
     span = max(x_max - x_min, y_max - y_min)
-    scale = (size - 2.0 * SVG_MARGIN) / span
-    offset_x = (size - (x_max - x_min) * scale) / 2.0
-    offset_y = (size - (y_max - y_min) * scale) / 2.0
+    scale = (SVG_SIZE - 2.0 * SVG_MARGIN) / span
+    offset_x = (SVG_SIZE - (x_max - x_min) * scale) / 2.0
+    offset_y = (SVG_SIZE - (y_max - y_min) * scale) / 2.0
 
     def place(x: float, y: float) -> tuple[float, float]:
         return (
             offset_x + (x - x_min) * scale,
-            size - offset_y - (y - y_min) * scale,
+            SVG_SIZE - offset_y - (y - y_min) * scale,
         )
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         '  <g fill="none" stroke-width="2">',
     ]
     for index, branch in enumerate(curves.branches):
@@ -116,9 +116,9 @@ def svg_document(curves: PlaneCurveSet, size: int = SVG_SIZE) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_svg(curves: PlaneCurveSet, path, size: int = SVG_SIZE) -> Path:
+def emit_svg(curves: PlaneCurveSet, path) -> Path:
     target = _checked_path(path)
-    target.write_text(svg_document(curves, size=size), encoding="utf-8")
+    target.write_text(svg_document(curves), encoding="utf-8")
     return target
 
 
@@ -184,8 +184,8 @@ def emit_obj(surface: LiftedSurface, path) -> Path:
 # ----------------------------------------------------------------------
 
 
-def emit_sweep(frames: Sequence[SweepFrame], directory, stem: str = "frame") -> dict:
-    """Write one JSON file per frame plus a manifest listing them.
+def emit_sweep(frames: Sequence[SweepFrame], directory) -> dict:
+    """Write one JSON file per frame, frame-000.json on, plus a manifest.
 
     The manifest carries each frame's file name, deformation parameters
     and headline counts; the frame files hold the full payloads.  Both
@@ -195,7 +195,7 @@ def emit_sweep(frames: Sequence[SweepFrame], directory, stem: str = "frame") -> 
     base.mkdir(parents=True, exist_ok=True)
     entries = []
     for index, frame in enumerate(frames):
-        name = f"{stem}-{index:03d}.json"
+        name = f"frame-{index:03d}.json"
         (base / name).write_text(_json_text(frame.to_json()), encoding="utf-8")
         entries.append(
             {

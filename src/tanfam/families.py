@@ -318,17 +318,21 @@ class SingularityLabel(NamedTuple):
         }
 
 
-def classify(
-    g: FamilyGerm, order: int | None = None, probe_branches: bool = True
-) -> SingularityLabel:
+def _normal_form_applies(a: Fraction) -> bool:
+    """Does the two-parameter projection normal form exist at modulus a?"""
+    return a not in (Fraction(-1), Fraction(0)) and a < Fraction(1, 3)
+
+
+def classify(g: FamilyGerm, order: int | None = None) -> SingularityLabel:
     """Sort a family germ into its singularity class.
 
     k0 != 0 is the smooth first type.  For k0 = 0 the values k1 = 0 and
     k1 = alpha fall outside the two typical types and are reported
     indeterminate at the working order.  Otherwise the modulus a decides:
     2 k1 = 3 alpha (a = 1/3) and k1 = 3 alpha (a = 0) are the degenerate
-    H and A branches, probed for their index; any other value gives the
-    double umbrella with the sign of a.
+    H and A branches, whose index is always probed at the working order
+    (probe_branch_index); any other value gives the double umbrella with
+    the sign of a.
     """
     germ = legendrian_parameterization(g)
     order = resolve_order(germ, order)
@@ -337,18 +341,16 @@ def classify(
     if g.k1 == 0 or g.k1 == g.alpha:
         return SingularityLabel(variant="IndeterminateAtOrder", order=order, germ=germ)
     a = invariant_a(g)
-    applicable = a not in (Fraction(-1), Fraction(0)) and a < Fraction(1, 3)
+    applicable = _normal_form_applies(a)
     if 2 * g.k1 == 3 * g.alpha:
-        branch = probe_branch_index(germ, "H", order) if probe_branches else None
         return SingularityLabel(
             "HBranch", a=a, projection_form_applicable=applicable,
-            branch=branch, order=order, germ=germ,
+            branch=probe_branch_index(germ, "H", order), order=order, germ=germ,
         )
     if g.k1 == 3 * g.alpha:
-        branch = probe_branch_index(germ, "A", order) if probe_branches else None
         return SingularityLabel(
             "ABranch", a=a, projection_form_applicable=applicable,
-            branch=branch, order=order, germ=germ,
+            branch=probe_branch_index(germ, "A", order), order=order, germ=germ,
         )
     variant = "A1Plus" if a > 0 else "A1Minus"
     return SingularityLabel(
@@ -380,11 +382,10 @@ def double_umbrella_form(
         )
     a = as_fraction(a)
     b = as_fraction(b)
-    if validate:
-        if a in (Fraction(-1), Fraction(0)):
-            raise ValueError(f"a = {a} is an excluded modulus (a must avoid -1 and 0)")
+    if validate and not _normal_form_applies(a):
         if a >= Fraction(1, 3):
             raise ValueError(f"a = {a} is out of range (a < 1/3 required)")
+        raise ValueError(f"a = {a} is an excluded modulus (a must avoid -1 and 0)")
     xi = TruncatedPoly.variable(SOURCE_VARS, "xi", cap)
     t = TruncatedPoly.variable(SOURCE_VARS, "t", cap)
     second = t**3 + t * t * xi + a * (t * xi * xi)

@@ -139,15 +139,6 @@ class PlaneCurveSet:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def to_json(self) -> dict:
-        return {
-            "branches": [
-                {"tag": b.tag, "closed": b.closed, "points": len(b.points)}
-                for b in self.branches
-            ],
-            "cusps": [list(p) for p in self.cusps],
-        }
-
 
 @dataclass(frozen=True)
 class DeformationParams:
@@ -167,16 +158,19 @@ class DeformationParams:
 def coefficient_array(p: TruncatedPoly) -> np.ndarray:
     """Dense float coefficient grid c[i, j] of xi^i t^j (axis 0 is xi).
 
-    A coefficient beyond the float range raises ValueError naming its
-    monomial.
+    A nonzero coefficient beyond the float range at either end (too
+    large for a float, or so small that it rounds to 0.0) raises
+    ValueError naming its monomial.
     """
     c = np.zeros((p.cap + 1, p.cap + 1))
     for (e_xi, e_t), value in p.terms():
         try:
             c[e_xi, e_t] = float(value)
         except OverflowError:
+            pass  # the entry stays 0.0 and is refused below
+        if c[e_xi, e_t] == 0.0:
             monomial = monomial_text((e_xi, e_t), p.variables)
-            raise ValueError(f"the coefficient of {monomial} is beyond the float range") from None
+            raise ValueError(f"the coefficient of {monomial} is beyond the float range")
     return c
 
 
@@ -861,19 +855,21 @@ def envelope_curves(target, criminant: PlaneCurveSet) -> PlaneCurveSet:
 
 @dataclass(frozen=True)
 class CuspReport:
-    count: int
-    points: tuple[tuple[float, float], ...]
-    curves: PlaneCurveSet
-    grid: GridSpec
-    angle_degrees: float
+    """The criminant of count_cusps with its cusp points attached.
 
-    def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "points": [list(p) for p in self.points],
-            "grid": self.grid.to_json(),
-            "angle_degrees": self.angle_degrees,
-        }
+    curves.cusps is the one stored copy of the cusps; count and points
+    read it.
+    """
+
+    curves: PlaneCurveSet
+
+    @property
+    def count(self) -> int:
+        return len(self.curves.cusps)
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return self.curves.cusps
 
 
 def _line_angles_degrees(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
@@ -885,9 +881,7 @@ def _line_angles_degrees(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
     return angles
 
 
-def _branch_cusps(
-    branch: Branch, planar: PlanarMap, angle_degrees: float
-) -> list[tuple[float, float]]:
+def _branch_cusps(branch: Branch, planar: PlanarMap) -> list[tuple[float, float]]:
     pts = branch.as_array()
     n = len(pts)
     if n < 3:
@@ -913,7 +907,7 @@ def _branch_cusps(
         raise ValueError("the cusp scan is not finite on this grid; shrink the domain")
     angles = _line_angles_degrees(cross, dot)
 
-    candidates = set(np.nonzero(np.abs(angles) <= angle_degrees)[0].tolist())
+    candidates = set(np.nonzero(np.abs(angles) <= CUSP_ANGLE_DEGREES)[0].tolist())
     flips = np.nonzero(
         (angles[:-1] * angles[1:] < 0.0)
         & (np.abs(angles[:-1]) < _CROSSING_GUARD_DEGREES)
@@ -941,31 +935,22 @@ def _branch_cusps(
 
 
 def count_cusps(
-    target,
-    grid: GridSpec | None = None,
-    criminant: PlaneCurveSet | None = None,
-    angle_degrees: float = CUSP_ANGLE_DEGREES,
+    target, grid: GridSpec | None = None, criminant: PlaneCurveSet | None = None
 ) -> CuspReport:
     """Count criminant points whose Jacobian kernel line turns tangent.
 
-    These are exactly the points whose envelope image is a cusp.  Counts
-    are resolution-dependent, so the report carries the grid spec.
+    These are exactly the points whose envelope image is a cusp.  A
+    given criminant is scanned as it is and grid is not read; otherwise
+    the criminant is traced on grid.  Counts are resolution-dependent.
+    The turning-angle tolerance is CUSP_ANGLE_DEGREES.
     """
-    grid = grid if grid is not None else GridSpec()
     planar = as_planar_map(target)
     if criminant is None:
-        criminant = trace_criminant(planar, grid)
+        criminant = trace_criminant(planar, grid if grid is not None else GridSpec())
     points: list[tuple[float, float]] = []
     for branch in criminant.branches:
-        points.extend(_branch_cusps(branch, planar, angle_degrees))
-    curves = PlaneCurveSet(branches=criminant.branches, cusps=tuple(points))
-    return CuspReport(
-        count=len(points),
-        points=tuple(points),
-        curves=curves,
-        grid=grid,
-        angle_degrees=angle_degrees,
-    )
+        points.extend(_branch_cusps(branch, planar))
+    return CuspReport(PlaneCurveSet(branches=criminant.branches, cusps=tuple(points)))
 
 
 # ----------------------------------------------------------------------
@@ -1110,12 +1095,17 @@ def default_sweep_lambdas(
 
 @dataclass(frozen=True)
 class SweepFrame:
+    """One traced deformation frame; criminant.cusps holds its cusp points."""
+
     params: DeformationParams
     mode: str
     criminant: PlaneCurveSet
     envelope: PlaneCurveSet
-    cusp_count: int
     grid: GridSpec
+
+    @property
+    def cusp_count(self) -> int:
+        return len(self.criminant.cusps)
 
     def to_json(self) -> dict:
         return {
@@ -1133,10 +1123,9 @@ def analyze_deformation(
     params: DeformationParams,
     mode: str = MODE_VERSAL,
     grid: GridSpec | None = None,
-    angle_degrees: float = CUSP_ANGLE_DEGREES,
 ) -> SweepFrame:
     """Trace, count and map one deformation frame."""
-    return _analyze(base, params, mode, grid, angle_degrees, None)
+    return _analyze(base, params, mode, grid, None)
 
 
 def _analyze(
@@ -1144,7 +1133,6 @@ def _analyze(
     params: DeformationParams,
     mode: str,
     grid: GridSpec | None,
-    angle_degrees: float,
     shared: dict | None,
 ) -> SweepFrame:
     """analyze_deformation, the deformed map's determinant grids shared
@@ -1152,14 +1140,12 @@ def _analyze(
     grid = grid if grid is not None else GridSpec()
     deformed = apply_deformation(base, params, mode)
     deformed._shared = shared
-    report = count_cusps(deformed, grid, angle_degrees=angle_degrees)
-    envelope = envelope_curves(deformed, report.curves)
+    criminant = count_cusps(deformed, grid).curves
     return SweepFrame(
         params=params,
         mode=mode,
-        criminant=report.curves,
-        envelope=envelope,
-        cusp_count=report.count,
+        criminant=criminant,
+        envelope=envelope_curves(deformed, criminant),
         grid=grid,
     )
 
@@ -1183,9 +1169,6 @@ def deformation_sweep(
     lambdas = tuple(lambdas) if lambdas is not None else default_sweep_lambdas()
     shared: dict = {}  # every frame is traced on the one grid
     return [
-        _analyze(
-            base, DeformationParams(lam=lam, mu1=mu1, mu2=mu2), mode, grid,
-            CUSP_ANGLE_DEGREES, shared,
-        )
+        _analyze(base, DeformationParams(lam=lam, mu1=mu1, mu2=mu2), mode, grid, shared)
         for lam in lambdas
     ]

@@ -85,6 +85,9 @@ Generator = tuple[tuple[str, Exponents, Sequence[str]], tuple[tuple[int, IntTabl
 
 KIND_FIBERED = "A-star"
 KIND_FULL = "A"
+# The ideal block the double umbrella's fibered tangent space is stated
+# to contain (slotwise degrees >= 3, >= 5, >= 4), for a outside {-1, 0}.
+_UMBRELLA_BLOCK = (3, 5, 4)
 
 
 def _as_map_germ(f: "MapGerm | Sequence[TruncatedPoly]") -> MapGerm:
@@ -421,24 +424,22 @@ def miniversality_check(
     f: "MapGerm | Sequence[TruncatedPoly]",
     complement: Sequence[Sequence[TruncatedPoly]],
     order: int | None = None,
-    block: tuple[int, int, int] | None = (3, 5, 4),
-    kind: str = KIND_FIBERED,
 ) -> dict:
     """Does the complement span the cokernel of the extended tangent space?
 
-    Computes the codimension of the extended tangent space in the order-W
-    jet space, then adds the complement rows.  spans is true iff every
-    complement row enlarges the space (direct sum) and the result is the
-    whole jet space.  The verdict records the ideal-block certificate
-    (when a block is given) because the codimension count is meaningful
-    above the working order only where the block guarantees saturation.
-    Complement vectors already inside the span are reported as a
-    non-direct sum, not raised.
+    Computes the codimension of the fibered (KIND_FIBERED) extended
+    tangent space in the order-W jet space, then adds the complement
+    rows.  spans is true iff every complement row enlarges the space
+    (direct sum) and the result is the whole jet space.  The verdict
+    records the ideal-block certificate for the block (3, 5, 4) because
+    the codimension count is meaningful above the working order only
+    where the block guarantees saturation.  Complement vectors already
+    inside the span are reported as a non-direct sum, not raised.
     """
     germ = _as_map_germ(f)
-    basis = build_extended_tangent_space(germ, order, kind)
+    basis = build_extended_tangent_space(germ, order, KIND_FIBERED)
     triples = [_coerce_triple(vec, germ) for vec in complement]
-    block_check = contains_ideal_block(basis, *block) if block is not None else None
+    block_check = contains_ideal_block(basis, *_UMBRELLA_BLOCK)
 
     space, inside = basis._enlarged(triples=triples)
     added = len(triples) - len(inside)
@@ -462,9 +463,9 @@ def miniversality_check(
             "dependent_complement_vectors": [[c.to_text() for c in t] for t in inside],
             "spans": spans,
             "defect": defect,
-            "certified_block": None if block is None else list(block),
-            "block_holds": None if block_check is None else block_check.holds,
-            "block_witness": None if block_check is None else block_check.witness,
+            "certified_block": list(_UMBRELLA_BLOCK),
+            "block_holds": block_check.holds,
+            "block_witness": block_check.witness,
             "modulo_degree": basis.order + 1,
         }
     )

@@ -666,11 +666,14 @@ def test_sweep_determinant_overflow_is_malformed(capsys, tmp_path):
     [
         (("sweep", "--a=-1e400", "--lambdas=0.1"), "xi^2 t"),
         (("envelope", "--input", '{"u": "1 xi t^2 + ' + "9" * 400 + ' t^3"}'), "t^3"),
+        (("sweep", "--a", "1e-400", "--lambdas=0.1"), "xi^2 t"),
+        (("envelope", "--input", '{"u": "1 xi t^2 + 1e-400 t^3"}'), "t^3"),
     ],
-    ids=["sweep-a", "envelope-u"],
+    ids=["sweep-a", "envelope-u", "sweep-a-tiny", "envelope-u-tiny"],
 )
 def test_a_coefficient_beyond_the_float_range_is_malformed(capsys, tmp_path, argv, monomial):
-    # before, an OverflowError traceback from float() on the exact coefficient
+    # before, an OverflowError traceback from float() on a huge exact
+    # coefficient, and a tiny one silently drawn as 0
     out_path = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--grid", "32", "--out", str(out_path))
     assert (code, out) == (EXIT_MALFORMED, "")

@@ -203,11 +203,6 @@ def test_classify_a_branch():
     assert label.branch is not None and label.branch.family == "A"
 
 
-def test_classify_without_probing():
-    label = classify(family_from_invariants(0, 3, 2), probe_branches=False)
-    assert label.variant == "HBranch" and label.branch is None
-
-
 @pytest.mark.parametrize("order", [0, 8, 50])
 def test_classify_rejects_order_outside_the_window(order):
     with pytest.raises(ValueError, match=r"1\.\.7"):

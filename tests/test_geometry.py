@@ -19,7 +19,6 @@ from tanfam.geometry import (
     _CASE_EDGES,
     _SHARP_TURN_DEGREES,
     CHART_EPSILON,
-    CUSP_ANGLE_DEGREES,
     DEFAULT_RESOLUTION,
     Branch,
     DeformationParams,
@@ -864,12 +863,12 @@ def test_beaks_cusp_transition_and_positions():
     assert counts == {-0.1: 0, 0.0: 0, 0.1: 2}
 
 
-def test_cusp_report_json():
-    report = count_cusps(TYPE_I, GridSpec.square(1.0, 64))
-    payload = report.to_json()
-    assert payload["count"] == report.count
-    assert payload["angle_degrees"] == CUSP_ANGLE_DEGREES
-    assert payload["grid"]["resolution"] == [64, 64]
+def test_count_cusps_on_a_given_criminant():
+    grid = GridSpec.square(1.0, 1024)
+    given = count_cusps(BEAKS_FRAME, criminant=trace_criminant(BEAKS_FRAME, grid))
+    traced = count_cusps(BEAKS_FRAME, grid)
+    assert (given.count, given.points) == (traced.count, traced.points)
+    assert given.count == len(given.points) == len(given.curves.cusps) == 2
 
 
 # ---------------------------------------------------------------------------
