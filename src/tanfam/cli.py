@@ -76,9 +76,9 @@ MAX_GRID_RESOLUTION = 4096
 
 # Largest --cap accepted.  Time, not memory, limits it: verify
 # --kind ideal-block at the deepest order (cap - 1, a = -37/11,
-# b = 13/7) took 0.20 s at cap 16, 1.46 s at cap 24 and 4.51 s at cap 28
-# as a fresh process on a 2-core Xeon (median of 3); its build and block
-# check took 18.7 s at cap 32 through the library.
+# b = 13/7) takes about 5 s at cap 28 as a fresh process on a 2-core
+# Xeon, and its build and block check about 24 s at cap 32 through the
+# library (the README's --cap paragraph has the measured figures).
 MAX_CAP = 28
 
 _EXCLUDED_MODULI = (Fraction(-1), Fraction(0), Fraction(1, 3))

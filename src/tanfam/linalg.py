@@ -15,14 +15,20 @@ RowSpace is an incremental echelon basis: rows are added one at a time
 and forward-reduced against the existing pivots, each row's pivot being
 its lowest column.  Rank and membership are available at any point.
 The reduced echelon row with pivot j depends only on the echelon rows
-whose pivots lie above j, so reduced_rows(start) back-eliminates just
-the rows with pivot >= start: a reader of the unit rows of a trailing
-block of columns pays for that block alone.  The space caches the
-reduced rows of the lowest start read so far, tagged with its rank:
-rows are only ever added, so an unchanged rank means unchanged rows,
-and that cache answers every start at or above its own.  The cache is
-the one reduced form a space keeps; canonical_matrix() is
-reduced_rows(0) written out densely, and copy() carries the cache along.
+whose pivots lie above j, so reduced_rows(start) reads only the rows
+with pivot >= start, once each, from the last pivot up: a copy of each
+is eliminated against the already reduced rows of the pivot columns it
+touches, then made primitive.  Those rows are zero in every other pivot
+column, so no step brings in a pivot column, and a reader of the unit
+rows of a trailing block of columns pays for that block alone.  One
+kernel, _eliminate, does every elimination step, forward and back, in
+place on a row its caller owns; stored rows are never changed, so
+copy() may share them.  The space caches the reduced rows of the lowest
+start read so far, tagged with its rank: rows are only ever added, so
+an unchanged rank means unchanged rows, and that cache answers every
+start at or above its own.  The cache is the one reduced form a space
+keeps; canonical_matrix() is reduced_rows(0) written out densely, and
+copy() carries the cache along.
 """
 
 from __future__ import annotations
@@ -58,20 +64,22 @@ def primitive_row(row: Mapping[int, Fraction | int]) -> SparseRow:
     return dict(row)
 
 
-def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> SparseRow:
-    """Cross-multiply so row[col] becomes 0, keeping integer entries."""
+def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> None:
+    """Cross-multiply row, which the caller owns, in place so that row[col]
+    becomes 0, keeping integer entries; pivot_row is only read."""
     a = pivot_row[col]
     b = row[col]
     g = gcd(a, b)
     ra, rb = a // g, b // g
-    out = dict(row) if ra == 1 else {c: ra * x for c, x in row.items()}
+    if ra != 1:
+        for c in row:
+            row[c] *= ra
     for c, p in pivot_row.items():
-        value = out.get(c, 0) - rb * p
+        value = row.get(c, 0) - rb * p
         if value:
-            out[c] = value
+            row[c] = value
         else:
-            del out[c]
-    return out
+            del row[c]
 
 
 class RowSpace:
@@ -96,14 +104,14 @@ class RowSpace:
         return primitive_row(row)
 
     def _reduce(self, row: SparseRow) -> SparseRow:
-        current = row
-        while current:
-            col = min(current)
+        """Forward-reduce row, which the caller owns, in place; returns it."""
+        while row:
+            col = min(row)
             pivot_row = self._rows.get(col)
             if pivot_row is None:
                 break
-            current = _eliminate(current, pivot_row, col)
-        return current
+            _eliminate(row, pivot_row, col)
+        return row
 
     def add(self, row: Mapping[int, Fraction | int]) -> bool:
         """Insert a row; returns True iff it enlarged the space."""
@@ -128,14 +136,13 @@ class RowSpace:
         return {col: dict(row) for col, row in cached[2].items() if col >= start}
 
     def _back_eliminate(self, start: int) -> dict[int, SparseRow]:
-        cols = sorted(col for col in self._rows if col >= start)
-        rows = [self._rows[c] for c in cols]
-        for i in range(len(rows) - 1, -1, -1):
-            col = cols[i]
-            for k in range(i):
-                if col in rows[k]:
-                    rows[k] = _eliminate(rows[k], rows[i], col)
-        return {col: primitive_row(row) for col, row in zip(cols, rows)}
+        reduced: dict[int, SparseRow] = {}
+        for col in sorted((c for c in self._rows if c >= start), reverse=True):
+            row = dict(self._rows[col])
+            for c in [c for c in row if c in reduced]:
+                _eliminate(row, reduced[c], c)
+            reduced[col] = primitive_row(row)
+        return dict(reversed(reduced.items()))
 
     def canonical_matrix(self) -> list[list[int]]:
         """Unique reduced echelon form: back-eliminated, primitive, dense rows."""

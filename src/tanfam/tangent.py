@@ -37,6 +37,16 @@ linalg, in a fixed generator order.  Identical inputs therefore produce
 identical reduced matrices and provenance, the same as building each
 generator as a Fraction jet at the cap and flattening it would.
 
+Only generators that can be nonzero at W are built.  The lowest-degree
+parts of nonzero polynomials multiply to a nonzero product, so a
+product's lowest degree is the sum of its factors'.  With v_i the
+lowest degree of f_i (W + 1 when f_i is 0 at W), the pullback of
+x^a y^b z^c is 0 at W exactly when a v_1 + b v_2 + c v_3 > W, and a
+source generator is 0 at W exactly when its multiplier's degree plus
+the lowest degree of the partials it shifts exceeds W.  Both are
+skipped: a zero row can neither enlarge the span nor take a provenance
+tag.
+
 Membership has one primitive, RowSpace.contains.  Unit vectors need no
 call at all: e_j lies in the span exactly when it is a row of the
 reduced echelon form, so block checks and branch probes read the set of
@@ -58,6 +68,7 @@ enlarged copies.
 from __future__ import annotations
 
 from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from tanfam.jets import (
@@ -142,15 +153,23 @@ def flatten_triple(
     return primitive_row(row)
 
 
+def _lowest_degree(tables: Iterable[IntTable], order: int) -> int:
+    """The lowest total degree among the terms of tables, order + 1 if none."""
+    return min((sum(md) for table in tables for md in table), default=order + 1)
+
+
 def _pullback_rows(
     germ: MapGerm, order: int, slot_monomials: Sequence[Sequence[Exponents]]
 ) -> Iterator[Generator]:
     _, comps = shared_numerators(germ.components, order)
+    lowest = [_lowest_degree((comp,), order) for comp in comps]
     # Pullbacks of target monomials (padded to x, y, z), shared by the slots.
     pulled: dict[Exponents, IntTable] = {(0, 0, 0): {(0, 0): 1}}
     for slot, monomials in enumerate(slot_monomials):
         prefix = f"slot{slot + 1} <- "
         for md in monomials:
+            if sum(map(mul, md, lowest)) > order:
+                continue  # the pullback is 0 at the working order
             jet = pullback(md + (0,) * (3 - len(md)), pulled, comps, order)
             yield (prefix, md, TARGET_VARS[: len(md)]), ((slot, jet),)
 
@@ -160,7 +179,8 @@ def _source_rows(germ: MapGerm, order: int, min_multiplier_degree: int) -> Itera
     for index, name in enumerate(SOURCE_VARS):
         partials = [partial_derivative(comp, index) for comp in comps]
         prefix = f"d{name} * "
-        for i, j in _monomial_tuple(2, min_multiplier_degree, order):
+        top = order - _lowest_degree(partials, order)  # above it the rows are 0
+        for i, j in _monomial_tuple(2, min_multiplier_degree, top):
             room = order - i - j
             shifted = tuple(
                 (slot, {(k + i, l + j): v for (k, l), v in table.items() if k + l <= room})
@@ -188,11 +208,9 @@ class TangentSpaceBasis:
         self._cells = tuple((slot, md) for slot in range(3) for md in self.monomials)
         self._columns = {cell: j for j, cell in enumerate(self._cells)}
         self._space = RowSpace(len(self._cells))
-        per_slot = len(self.monomials)
-        slot_columns = [
-            {md: base + k for k, md in enumerate(self.monomials)}
-            for base in range(0, 3 * per_slot, per_slot)
-        ]
+        slot_columns: list[dict[Exponents, int]] = [{}, {}, {}]
+        for (slot, md), j in self._columns.items():
+            slot_columns[slot][md] = j
         provenance: list[str] = []
         for (prefix, md, names), cells in rows:
             row = {
@@ -446,12 +464,8 @@ def miniversality_check(
     direct = not inside
     spans = direct and space.rank == basis.dimension
 
-    defect: list[dict] = []
-    if space.rank < basis.dimension:
-        pivots = set(space.pivot_columns())
-        defect = [
-            basis.column_label(i) for i in range(basis.dimension) if i not in pivots
-        ]
+    pivots = set(space.pivot_columns())
+    defect = [basis.column_label(i) for i in range(basis.dimension) if i not in pivots]
 
     verdict = basis.to_verdict()
     verdict.update(

@@ -4,11 +4,15 @@ Rebuilds the generator matrices with sympy polynomial arithmetic and
 ranks them with sympy's rational linear algebra, sharing no code with
 the package beyond reading germ components as text.  Used to cross-check
 the production builder on the germs the test suite cares most about.
+Reduced echelon forms come from a plain dense Fraction Gauss-Jordan
+(reduced_echelon), which shares no code with tanfam.linalg either.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
@@ -89,12 +93,17 @@ def tangent_rows(
         spatial = [m for m in product(range(order + 1), repeat=3) if sum(m) <= order]
         slot_monomials = [planar, planar, spatial]
 
+    pulls: dict[tuple[int, ...], sp.Expr] = {}  # shared by the slots
     for slot, monos in enumerate(slot_monomials):
         for exponents in monos:
-            pulled = sp.Integer(1)
-            for comp, e in zip(comps, exponents):
-                if e:
-                    pulled = _truncate(pulled * comp**e, order).as_expr()
+            key = tuple(exponents) + (0,) * (3 - len(exponents))
+            if key not in pulls:
+                pulled = sp.Integer(1)
+                for comp, e in zip(comps, exponents):
+                    if e:
+                        pulled = _truncate(pulled * comp**e, order).as_expr()
+                pulls[key] = pulled
+            pulled = pulls[key]
             triple = [sp.Integer(0)] * 3
             triple[slot] = pulled
             rows.append(_flatten(triple, monomials, order))
@@ -152,3 +161,43 @@ def sympy_contains(
 ) -> bool:
     """Membership of a jet triple via augmented-rank comparison."""
     return sympy_contains_each(comps, order, [triple], kind, reduced)[0]
+
+
+def reduced_echelon(rows: list[list]) -> list[list[int]]:
+    """The reduced row echelon form of rows by dense Fraction Gauss-Jordan.
+
+    Each row is rescaled to integers with no common factor and a positive
+    pivot entry; rows come in pivot-column order, zero rows dropped.
+    """
+    width = len(rows[0]) if rows else 0
+    basis: dict[int, list[Fraction]] = {}  # pivot column -> row with pivot entry 1
+    support: dict[int, list[int]] = {}  # pivot column -> nonzero columns of its row
+
+    def subtract(row: list[Fraction], factor: Fraction, pivot: int) -> None:
+        pivot_row = basis[pivot]
+        for j in support[pivot]:
+            row[j] -= factor * pivot_row[j]
+
+    for raw in rows:
+        row = [Fraction(str(value)) if value else Fraction(0) for value in raw]
+        for pivot in basis:
+            if row[pivot]:
+                subtract(row, row[pivot], pivot)
+        col = next((j for j in range(width) if row[j]), None)
+        if col is None:
+            continue
+        lead = row[col]
+        basis[col] = [value / lead for value in row]
+        support[col] = [j for j in range(width) if row[j]]
+        for other, other_row in basis.items():
+            if other != col and other_row[col]:
+                subtract(other_row, other_row[col], col)
+                support[other] = [j for j in range(width) if other_row[j]]
+    out = []
+    for col in sorted(basis):
+        row = basis[col]
+        scale = lcm(*(value.denominator for value in row))
+        integers = [int(value * scale) for value in row]
+        common = gcd(*integers)
+        out.append([value // common for value in integers])
+    return out

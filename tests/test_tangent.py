@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers_oracle import (
     parse_component,
+    reduced_echelon,
     sympy_contains,
     sympy_contains_each,
     sympy_rank,
@@ -216,12 +217,35 @@ H_BRANCH_GERM = legendrian_parameterization(
 )
 
 
+def text_germ(texts, cap, at_origin=True):
+    """A germ from component texts; at_origin=False skips MapGerm's check
+    that the components vanish at the origin, which the builders'
+    arithmetic does not rely on."""
+    comps = [TruncatedPoly.from_text(SOURCE_VARS, text, cap) for text in texts]
+    if at_origin:
+        return MapGerm(comps)
+    germ = object.__new__(MapGerm)
+    germ._components = tuple(comps)
+    return germ
+
+
+# every component has a constant term, so its lowest degree is 0 and no
+# pullback is 0 at any order
+CONSTANT_TERM_GERM = text_germ(
+    ("1 + xi + 1/2 t^2", "-2 + t^3 + xi t", "3/4 + xi t^2"), 7, at_origin=False
+)
+# slot 2 is 0 at every order and slot 3 below order 4: their lowest
+# degree is the working order plus one
+ZERO_COMPONENT_GERM = text_germ(("xi + t^2", "0", "t^4 + 2/3 xi^3 t"), 8)
+
 REFERENCE_GERMS = {
     "umbrella-1/5": (double_umbrella_form(Fraction(1, 5), 1, 8), SPACES),
     # components with different denominators (11 and 7)
     "umbrella-37/11": (double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10), SPACES),
     "fold": (fold_form(8), SPACES),
     "H-branch": (H_BRANCH_GERM, (KIND_FULL,)),
+    "constant-term": (CONSTANT_TERM_GERM, SPACES),
+    "zero-component": (ZERO_COMPONENT_GERM, SPACES),
 }
 
 
@@ -248,6 +272,29 @@ _COMPONENTS = st.dictionaries(
 def test_generators_match_fraction_reference_on_random_germs(comps, order, space):
     germ = MapGerm([TruncatedPoly(SOURCE_VARS, 5, comp) for comp in comps])
     assert_matches_fraction_reference(germ, order, space)
+
+
+def test_builders_hand_no_zero_row_to_the_row_space(monkeypatch):
+    """Generators that are 0 at the working order are never built."""
+    rows = []
+    add = RowSpace.add
+
+    def recorded(self, row):
+        rows.append(any(row.values()))
+        return add(self, row)
+
+    monkeypatch.setattr(RowSpace, "add", recorded)
+    umbrella = double_umbrella_form(Fraction(-37, 11), Fraction(13, 7), 10)
+    h_branch = legendrian_parameterization(
+        family_from_invariants(0, Fraction(-39, 11), Fraction(-26, 11), cap=12)
+    )
+    builds = [(umbrella, 9, space) for space in SPACES] + [(h_branch, None, KIND_FULL)]
+    for germ in (CONSTANT_TERM_GERM, ZERO_COMPONENT_GERM):
+        builds += [(germ, order, space) for order in (2, 5) for space in SPACES]
+    for germ, order, space in builds:
+        rows.clear()
+        build_space(germ, order, space)
+        assert rows and all(rows), (germ, order, space)
 
 
 def test_builders_make_no_jet_multiplication(monkeypatch):
@@ -502,6 +549,49 @@ def test_absorbed_columns_match_the_dense_reading_on_branch_germs(family, invari
             lambda: build_extended_tangent_space(germ, None, KIND_FULL)
         )
         assert probe_branch_index(germ, family).n == 2
+
+
+def oracle_reduced_rows(basis, kind, reduced):
+    """The reduced rows of the sympy generator matrix by dense Fraction
+    Gauss-Jordan, its columns put in the basis's order, keyed by pivot."""
+    rows, monomials = tangent_rows(oracle_comps(basis.germ), basis.order, kind, reduced)
+    where = {md: i for i, md in enumerate(monomials)}
+    order = [slot * len(monomials) + where[md] for slot in range(3) for md in basis.monomials]
+    dense = reduced_echelon([[row[j] for j in order] for row in rows])
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+    return dense, {min(row): row for row in sparse}
+
+
+def assert_reduced_form_matches_gauss_jordan(basis, kind=KIND_FIBERED, reduced=False):
+    """reduced_rows from every start, each a fresh back-elimination, and
+    the canonical matrix, against the independent dense reduction."""
+    dense, rows = oracle_reduced_rows(basis, kind, reduced)
+    assert len(rows) == basis.rank
+    space = basis._space
+    for start in range(basis.dimension, -1, -1):
+        assert space.reduced_rows(start) == {j: r for j, r in rows.items() if j >= start}, start
+    assert basis.canonical_matrix() == dense
+
+
+@pytest.mark.parametrize("name", sorted(ABSORBED_UMBRELLAS))
+def test_reduced_form_matches_dense_gauss_jordan_on_umbrellas(name):
+    germ = double_umbrella_form(*ABSORBED_UMBRELLAS[name], cap=7, validate=False)
+    for order in range(1, 7):
+        for space in SPACES:
+            kind = KIND_FIBERED if space == "reduced" else space
+            basis = build_space(germ, order, space)
+            assert_reduced_form_matches_gauss_jordan(basis, kind, space == "reduced")
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-26, 11), Fraction(-13, 11)], ids=["H", "A"])
+def test_reduced_form_matches_dense_gauss_jordan_on_branch_germs(alpha):
+    germ = legendrian_parameterization(family_from_invariants(0, Fraction(-39, 11), alpha, cap=7))
+    for order in range(1, 7):
+        basis = build_extended_tangent_space(germ, order, KIND_FULL)
+        assert_reduced_form_matches_gauss_jordan(basis, KIND_FULL)
+    # at order 6 the reduced rows have entries in several non-pivot columns
+    rows = basis._space.reduced_rows()
+    assert len({j for row in rows.values() for j in row} - rows.keys()) >= 2
 
 
 def test_block_checks_and_classify_build_no_dense_matrix(monkeypatch):
