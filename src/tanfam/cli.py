@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,7 +51,8 @@ from tanfam.jets import (
     MapGerm,
     SOURCE_VARS,
     TruncatedPoly,
-    _check_digits,
+    as_fraction,
+    check_grid_rectangle,
 )
 from tanfam.tangent import (
     _UMBRELLA_BLOCK,
@@ -93,11 +93,11 @@ class CLIError(Exception):
 
 
 def _parse_domain(text: str | None) -> tuple[float, float, float, float]:
-    """(xi_min, xi_max, t_min, t_max) of --domain, checked as GridSpec checks it.
+    """(xi_min, xi_max, t_min, t_max) of --domain, checked by GridSpec's rule.
 
-    The checks run here, before the float layer loads, so a bad --domain
-    exits 1 on every command without importing numpy.  Their messages are
-    GridSpec's, so the error line does not depend on where it was found.
+    The check runs here, before the float layer loads, so a bad --domain
+    exits 1 on every command without importing numpy.  check_grid_rectangle
+    is numpy-free, so the error line does not depend on where it was found.
     """
     if text is None:
         return (-1.0, 1.0, -1.0, 1.0)
@@ -106,16 +106,11 @@ def _parse_domain(text: str | None) -> tuple[float, float, float, float]:
         raise CLIError("--domain takes a half-width or 'ximin,ximax,tmin,tmax'")
     try:
         values = [float(p) for p in parts]
+        bounds = (-values[0], values[0], -values[0], values[0]) if len(values) == 1 else tuple(values)
+        check_grid_rectangle(*bounds)
     except ValueError as exc:
         raise CLIError(f"bad --domain value {text!r}: {exc}") from exc
-    bounds = (-values[0], values[0], -values[0], values[0]) if len(values) == 1 else tuple(values)
-    if not all(math.isfinite(bound) for bound in bounds):
-        problem = "grid rectangle bounds must be finite"
-    elif not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
-        problem = "grid rectangle is degenerate"
-    else:
-        return bounds
-    raise CLIError(f"bad --domain value {text!r}: {problem}")
+    return bounds
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
@@ -407,8 +402,7 @@ def _exact(text: str) -> Fraction:
     """argparse type for an exact rational; a zero denominator is a bad value
     too, and so is a number above the input digit bound."""
     try:
-        _check_digits(text)
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 

@@ -48,6 +48,7 @@ from tanfam.jets import (
     MODE_VERSAL,
     MapGerm,
     TruncatedPoly,
+    check_grid_rectangle,
     monomial_text,
 )
 
@@ -76,11 +77,7 @@ class GridSpec:
     resolution_t: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
-        bounds = (self.xi_min, self.xi_max, self.t_min, self.t_max)
-        if not all(math.isfinite(bound) for bound in bounds):
-            raise ValueError("grid rectangle bounds must be finite")
-        if not (self.xi_min < self.xi_max and self.t_min < self.t_max):
-            raise ValueError("grid rectangle is degenerate")
+        check_grid_rectangle(self.xi_min, self.xi_max, self.t_min, self.t_max)
         if self.resolution_xi < 2 or self.resolution_t < 2:
             raise ValueError("grid needs at least 2 samples per axis")
 
@@ -964,7 +961,9 @@ class LiftedSurface:
 
     chart is 0 where the affine slope p = dy/dx is used, 1 where the
     reciprocal chart q = dx/dy took over, and invalid marks samples where
-    both derivatives vanish (the curve is not immersed there).
+    both derivatives vanish (the curve is not immersed there).  grid and
+    epsilon say how chart was made; the derivatives themselves are
+    PlanarMap.jacobian's entries 1 and 3 on grid.mesh().
     """
 
     grid: GridSpec
@@ -973,22 +972,11 @@ class LiftedSurface:
     slope: np.ndarray = field(repr=False)
     chart: np.ndarray = field(repr=False)
     invalid: np.ndarray = field(repr=False)
-    d_x: np.ndarray = field(repr=False)
-    d_y: np.ndarray = field(repr=False)
     epsilon: float = CHART_EPSILON
 
     @property
     def invalid_count(self) -> int:
         return int(np.count_nonzero(self.invalid))
-
-    def chart_coherence_error(self) -> float:
-        """max |p*q - 1| over samples where both charts are evaluable."""
-        both = (~self.invalid) & (self.d_x != 0.0) & (self.d_y != 0.0)
-        if not np.any(both):
-            return 0.0
-        p = self.d_y[both] / self.d_x[both]
-        q = self.d_x[both] / self.d_y[both]
-        return float(np.max(np.abs(p * q - 1.0)))
 
 
 def legendrian_lift(
@@ -999,18 +987,22 @@ def legendrian_lift(
     The slope is p = dy/dx along the family parameter t; where
     |dx| < epsilon * |dy| the reciprocal chart q = dx/dy is stored
     instead and the sample is tagged.  Samples with dx = dy = 0 are
-    marked invalid rather than raising.
+    marked invalid rather than raising.  epsilon must be finite and
+    positive, and x, y, dx and dy finite on the grid; ValueError otherwise.
 
     x, y, dx and dy are each evaluated on only the grid axes they depend
-    on (_own_axes, as in PlanarMap.det); for an adapted family dx is the
-    constant 1.  The chart test runs before dx is broadcast: epsilon *
+    on (_own_axes, as in PlanarMap.det) and checked there; for an adapted
+    family dx is the constant 1.  dx and dy are never broadcast: epsilon *
     |dy| is formed in the slope buffer and compared with |dx| into the
     chart array.  The plain dy / dx then goes over the whole slope buffer,
     and masked passes rewrite only the reciprocal samples with dx / dy and
     the invalid ones with +0.0.  Per sample these are the operations of
-    the masked divides over full grids, so the bits are the same.  Every
+    the masked divides over full grids, so the bits are the same.  The
+    derivative grids are dropped before x and y are evaluated.  Every
     returned array has the grid's shape and owns its data.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"the chart epsilon must be finite and positive, not {epsilon!r}")
     grid = grid if grid is not None else GridSpec()
     planar = as_planar_map(target)
     xi, t = grid.mesh()
@@ -1018,7 +1010,11 @@ def legendrian_lift(
     mesh = _is_open_mesh(xi, t)
 
     def own(c):
-        return _evaluate(c, *_own_axes(c, xi, t, mesh))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _evaluate(c, *_own_axes(c, xi, t, mesh))
+        if not np.isfinite(values).all():
+            raise ValueError("the lift is not finite on this grid; shrink the domain")
+        return values
 
     def full(values):
         if values.shape == shape:
@@ -1027,19 +1023,19 @@ def legendrian_lift(
         out[...] = values
         return out
 
-    d_x, d_y = own(planar._d1_t), full(own(planar._d2_t))
+    d_x, d_y = own(planar._d1_t), own(planar._d2_t)
     slope = np.empty(shape)
     np.abs(d_y, out=slope)
     np.multiply(epsilon, slope, out=slope)
     chart = np.empty(shape, dtype=np.uint8)
     # 0 where d_x = d_y = 0, since 0 < epsilon * 0 fails
     np.less(np.abs(d_x), slope, out=chart)
-    invalid = d_y == 0.0
-    invalid &= d_x == 0.0
+    invalid = np.logical_and(d_x == 0.0, d_y == 0.0, out=np.empty(shape, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(d_y, d_x, out=slope)
     np.divide(d_x, d_y, out=slope, where=chart.view(bool))
     np.copyto(slope, 0.0, where=invalid)
+    del d_x, d_y
     return LiftedSurface(
         grid=grid,
         x=full(own(planar.c1)),
@@ -1047,8 +1043,6 @@ def legendrian_lift(
         slope=slope,
         chart=chart,
         invalid=invalid,
-        d_x=full(d_x),
-        d_y=d_y,
         epsilon=epsilon,
     )
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -57,6 +57,16 @@ DEFAULT_ORACLE_SAMPLES = 20
 DEFAULT_RESOLUTION = 512
 MODE_VERSAL = "versal"
 MODE_BEAKS = "beaks"
+
+
+def check_grid_rectangle(xi_min: float, xi_max: float, t_min: float, t_max: float) -> None:
+    """Refuse a sampling rectangle with a bound that is not finite, or with
+    no area; GridSpec and the CLI's --domain parser both apply this rule."""
+    if not all(isfinite(bound) for bound in (xi_min, xi_max, t_min, t_max)):
+        raise ValueError("grid rectangle bounds must be finite")
+    if not (xi_min < xi_max and t_min < t_max):
+        raise ValueError("grid rectangle is degenerate")
+
 
 Exponents = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
