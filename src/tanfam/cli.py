@@ -113,9 +113,29 @@ def _parse_domain(text: str | None) -> tuple[float, float, float, float]:
     return bounds
 
 
+def _deformation_parameter(flag: str, text: str) -> float:
+    """The float of a deformation parameter text.
+
+    A text whose float is 0.0 while its exact value is not 0 (below the
+    float range) is refused, as an exact coefficient that rounds to 0.0
+    is; a non-finite float passes, for the library's finiteness check.
+    """
+    value = float(text)
+    if value == 0.0:
+        try:
+            exact = as_fraction(text)
+        except ValueError as exc:
+            raise CLIError(f"bad {flag} value {text!r}: {exc}") from exc
+        if exact != 0:
+            raise CLIError(f"{flag} value {text!r} is not 0 but rounds to 0.0 as a float")
+    return value
+
+
 def _parse_lambdas(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip() != "")
+        values = tuple(
+            _deformation_parameter("--lambdas", p) for p in text.split(",") if p.strip() != ""
+        )
     except ValueError as exc:
         raise CLIError(f"bad --lambdas value {text!r}: {exc}") from exc
     if not values:
@@ -154,9 +174,10 @@ def _check_args(args: argparse.Namespace) -> None:
     it stays the checked samples per axis, so the exact commands never
     load the float layer (a given --domain is still checked).  ``data``
     holds the parsed --input, ``lambdas`` is a tuple or None (the library
-    default), ``b`` is the given --b or 1, ``order`` is the working order
-    (None lets classify use cap - 1) and ``out`` is a Path, or None where
-    the payload goes to stdout.
+    default), ``mu1`` and ``mu2`` are floats, ``b`` is the given --b or 1,
+    ``order`` is the working order (None lets classify use cap - 1) and
+    ``out`` is a Path, or None where the payload goes to stdout.  A
+    deformation parameter that rounds to 0.0 but is not 0 is refused.
     """
     if not 2 <= args.grid <= MAX_GRID_RESOLUTION:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
@@ -169,6 +190,9 @@ def _check_args(args: argparse.Namespace) -> None:
         args.data = _load_input(args.input)
     if getattr(args, "lambdas", None) is not None:
         args.lambdas = _parse_lambdas(args.lambdas)
+    if args.command == "sweep":
+        args.mu1 = _deformation_parameter("--mu1", args.mu1)
+        args.mu2 = _deformation_parameter("--mu2", args.mu2)
     if args.cap < 2:
         raise CLIError("--cap must be at least 2")
     if getattr(args, "kind", None) == "fold-sufficiency" and (args.a, args.b) != (None, None):
@@ -311,8 +335,6 @@ def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     """Deformation sweep of the two-parameter form: frames plus manifest."""
     germ = _normal_form(args, validate=True)
-    if args.mode == MODE_BEAKS and (args.mu1 != 0.0 or args.mu2 != 0.0):
-        raise CLIError("--mu1/--mu2 apply in versal mode only")
     try:
         frames = geometry.deformation_sweep(
             germ,
@@ -407,6 +429,16 @@ def _exact(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _float_text(text: str) -> str:
+    """argparse type for a float flag whose text _check_args reads again:
+    the text itself, once float() accepts it."""
+    try:
+        float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    return text
+
+
 def _add_moduli(p: argparse.ArgumentParser, a_required: bool) -> None:
     p.add_argument(
         "--a", type=_exact, required=a_required,
@@ -453,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambdas", default=None,
         help="comma-separated lambda values (use --lambdas=-0.1,0,0.1 form)",
     )
-    p.add_argument("--mu1", type=float, default=0.0, help="versal-mode mu1")
-    p.add_argument("--mu2", type=float, default=0.0, help="versal-mode mu2")
+    p.add_argument("--mu1", type=_float_text, default="0", help="versal-mode mu1")
+    p.add_argument("--mu2", type=_float_text, default="0", help="versal-mode mu2")
 
     p = sub.add_parser("selfcheck", parents=[common], help="seeded property suites")
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)

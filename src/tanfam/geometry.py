@@ -1,10 +1,11 @@
 """Float-side geometry: criminant tracing, envelopes, lifts, deformations.
 
-Everything upstream of this module is exact rational arithmetic; here the
-polynomial coefficients cross over into numpy double precision once, and
-all further work (grid evaluation, zero-curve extraction, cusp counting)
-is plain numerics.  The split keeps the algebraic verdicts exact while
-pictures and counts stay cheap.
+Everything upstream of this module is exact rational arithmetic, the
+deformed map (jets.deform) and its criminant D (jets.criminant) included;
+here a finished map's coefficients cross over into numpy double precision
+once (coefficient_array), and all further work (grid evaluation,
+zero-curve extraction, cusp counting) is plain numerics.  The split keeps
+the algebraic verdicts exact while pictures and counts stay cheap.
 
 The criminant of a planar map (the source-side critical curve of the
 projection restricted to the graph surface) is traced with marching
@@ -49,6 +50,8 @@ from tanfam.jets import (
     MapGerm,
     TruncatedPoly,
     check_grid_rectangle,
+    criminant,
+    deform,
     monomial_text,
 )
 
@@ -232,9 +235,9 @@ def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray
 class PlanarMap:
     """A planar polynomial map with vectorized evaluation and Jacobian data.
 
-    Coefficients are plain float arrays, so deformations with float
-    parameters fit here even though they leave exact-jet land.  Every
-    method takes xi and t that broadcast together.
+    Coefficients are plain float arrays, each entry the rounding of an
+    exact coefficient (from_polys) or given as is.  Every method takes xi
+    and t that broadcast together.
     """
 
     def __init__(self, c1: np.ndarray, c2: np.ndarray):
@@ -365,46 +368,19 @@ def as_planar_map(target) -> PlanarMap:
 
 
 def jacobian_det(f) -> tuple[TruncatedPoly, Callable]:
-    """Exact Jacobian determinant of a planar jet map, plus a float evaluator.
-
-    Both halves are the determinant of the polynomial map the two jets
-    define, untruncated: for inputs at cap N the first derivatives have
-    degree <= N - 1, so the exact form is computed at cap max(1, 2N - 2),
-    where no product term is dropped.  Three-component germs are projected
-    to their first two components first.
-    """
-    if isinstance(f, MapGerm):
-        f = f.planar_projection().components
-    p1, p2 = f[0], f[1]
-    if p1.cap != p2.cap:
-        raise ValueError(f"degree caps differ: {p1.cap} vs {p2.cap}")
-    planar = PlanarMap.from_polys(p1, p2)
-    cap = max(1, 2 * p1.cap - 2)
-    p1, p2 = p1.with_cap(cap), p2.with_cap(cap)
-    det = p1.derive("xi") * p2.derive("t") - p1.derive("t") * p2.derive("xi")
-    return det, planar.det
+    """The exact criminant D of a planar jet map (jets.criminant, untruncated)
+    plus the float evaluator of the same determinant (PlanarMap.det).
+    Three-component germs are read through their first two components."""
+    return criminant(f), as_planar_map(f).det
 
 
 def apply_deformation(
     base: MapGerm, params: DeformationParams, mode: str = MODE_VERSAL
 ) -> PlanarMap:
-    """The planar part of a 3-component germ deformed with float parameters.
-
-    Modes: "versal" adds (mu1 * z, lam * t + mu2 * z) with z read off as
-    the third component of the base; "beaks" allows only the lam * t term,
-    the deformation that keeps the projection direction fixed.
-    """
-    if base.arity != 3:
-        raise ValueError("deformations act on 3-component germs")
-    if mode not in (MODE_VERSAL, MODE_BEAKS):
-        raise ValueError(f"mode must be '{MODE_VERSAL}' or '{MODE_BEAKS}', got {mode!r}")
-    if mode == MODE_BEAKS and (params.mu1 != 0.0 or params.mu2 != 0.0):
-        raise ValueError("the beaks deformation has mu1 = mu2 = 0")
-    a3 = coefficient_array(base[2])
-    c1 = coefficient_array(base[0]) + params.mu1 * a3
-    c2 = coefficient_array(base[1]) + params.mu2 * a3
-    c2[0, 1] += params.lam
-    return PlanarMap(c1, c2)
+    """The float form of the deformed planar germ jets.deform(base, params.lam,
+    params.mu1, params.mu2, mode), formed exactly and rounded once per
+    coefficient."""
+    return PlanarMap.from_germ(deform(base, params.lam, params.mu1, params.mu2, mode))
 
 
 # ----------------------------------------------------------------------
@@ -985,16 +961,18 @@ def legendrian_lift(
     """Sample the lift of a planar family map with its slope coordinate.
 
     The slope is p = dy/dx along the family parameter t; where
-    |dx| < epsilon * |dy| the reciprocal chart q = dx/dy is stored
-    instead and the sample is tagged.  Samples with dx = dy = 0 are
-    marked invalid rather than raising.  epsilon must be finite and
+    |dx| < epsilon * |dy|, or dx = 0 != dy, the reciprocal chart
+    q = dx/dy is stored instead and the sample is tagged.  Samples with
+    dx = dy = 0 are marked invalid rather than raising.  epsilon must be finite and
     positive, and x, y, dx and dy finite on the grid; ValueError otherwise.
 
     x, y, dx and dy are each evaluated on only the grid axes they depend
     on (_own_axes, as in PlanarMap.det) and checked there; for an adapted
     family dx is the constant 1.  dx and dy are never broadcast: epsilon *
     |dy| is formed in the slope buffer and compared with |dx| into the
-    chart array.  The plain dy / dx then goes over the whole slope buffer,
+    chart array; where dx has a zero, one boolean pass adds the samples
+    with dx = 0 != dy, at which epsilon * |dy| can underflow to 0.0.  The
+    plain dy / dx then goes over the whole slope buffer,
     and masked passes rewrite only the reciprocal samples with dx / dy and
     the invalid ones with +0.0.  Per sample these are the operations of
     the masked divides over full grids, so the bits are the same.  The
@@ -1030,7 +1008,11 @@ def legendrian_lift(
     chart = np.empty(shape, dtype=np.uint8)
     # 0 where d_x = d_y = 0, since 0 < epsilon * 0 fails
     np.less(np.abs(d_x), slope, out=chart)
-    invalid = np.logical_and(d_x == 0.0, d_y == 0.0, out=np.empty(shape, dtype=bool))
+    dx_zero = d_x == 0.0
+    invalid = np.logical_and(dx_zero, d_y == 0.0, out=np.empty(shape, dtype=bool))
+    if dx_zero.any():
+        # dx = 0 != dy is dx_zero without invalid
+        np.logical_or(chart, np.logical_xor(dx_zero, invalid), out=chart)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(d_y, d_x, out=slope)
     np.divide(d_x, d_y, out=slope, where=chart.view(bool))

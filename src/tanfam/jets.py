@@ -29,7 +29,10 @@ reproducible byte for byte.
 Coefficients must be int, Fraction, or a rational string like "1/5";
 floats are rejected so no rounding can leak into rank computations, and
 an int or a string above _INPUT_DIGITS digits in its numerator or
-denominator is refused before any arithmetic on it.
+denominator is refused before any arithmetic on it.  deform is the one
+place a float enters: a deformation parameter is taken as the exact
+value of the float, so the deformed map it forms is exact too, as is
+its criminant D (criminant); the float layer converts a finished map.
 Derivatives are returned at the stored cap, but only their terms of degree
 <= N-1 are trustworthy; consumers that mix derivatives with other jets
 must cap their working degree at N-1.
@@ -592,6 +595,42 @@ class MapGerm:
 
     def __repr__(self) -> str:
         return f"MapGerm{self.to_texts()!r}"
+
+
+def criminant(f: "MapGerm | Sequence[TruncatedPoly]") -> TruncatedPoly:
+    """D = x_xi * y_t - x_t * y_xi of the first two components (x, y) of f.
+
+    D is the Jacobian determinant of the polynomial map the two jets
+    define, untruncated: for inputs at cap N the first derivatives have
+    degree <= N - 1, so D is formed at cap max(1, 2N - 2), where no
+    product term is dropped.
+    """
+    x, y = f[0], f[1]
+    if x.cap != y.cap:
+        raise ValueError(f"degree caps differ: {x.cap} vs {y.cap}")
+    cap = max(1, 2 * x.cap - 2)
+    x, y = x.with_cap(cap), y.with_cap(cap)
+    return x.derive("xi") * y.derive("t") - x.derive("t") * y.derive("xi")
+
+
+def deform(base: MapGerm, lam, mu1, mu2, mode: str) -> MapGerm:
+    """The planar germ (f1 + mu1 f3, f2 + lam t + mu2 f3) of base = (f1, f2, f3).
+
+    The parameters may be floats, ints or Fractions; each is taken exactly
+    through Fraction(), which is exact for a float, so every coefficient
+    is formed without rounding.  Mode "versal" takes all three parameters;
+    "beaks" keeps the projection direction fixed and allows only lam t.
+    """
+    if base.arity != 3:
+        raise ValueError("deformations act on 3-component germs")
+    if mode not in (MODE_VERSAL, MODE_BEAKS):
+        raise ValueError(f"mode must be '{MODE_VERSAL}' or '{MODE_BEAKS}', got {mode!r}")
+    lam, mu1, mu2 = Fraction(lam), Fraction(mu1), Fraction(mu2)
+    if mode == MODE_BEAKS and (mu1 or mu2):
+        raise ValueError("mu1 and mu2 apply in versal mode only; beaks has mu1 = mu2 = 0")
+    f1, f2, f3 = base
+    lam_t = TruncatedPoly(base.variables, base.cap, {(0, 1): lam})
+    return MapGerm((f1 + f3 * mu1, f2 + lam_t + f3 * mu2))
 
 
 # -- text parsing helpers ---------------------------------------------------

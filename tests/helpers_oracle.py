@@ -6,6 +6,8 @@ the package beyond reading germ components as text.  Used to cross-check
 the production builder on the germs the test suite cares most about.
 Reduced echelon forms come from a plain dense Fraction Gauss-Jordan
 (reduced_echelon), which shares no code with tanfam.linalg either.
+The deformed double umbrella and its criminant are built from their
+formulas in sympy (deformed_double_umbrella, criminant).
 """
 
 from __future__ import annotations
@@ -201,3 +203,17 @@ def reduced_echelon(rows: list[list]) -> list[list[int]]:
         common = gcd(*integers)
         out.append([value // common for value in integers])
     return out
+
+
+def deformed_double_umbrella(a, b, lam, mu1, mu2) -> tuple[sp.Expr, sp.Expr]:
+    """The planar map (f1 + mu1 f3, f2 + lam t + mu2 f3) of the double
+    umbrella (f1, f2, f3) = (xi, t^3 + t^2 xi + a t xi^2, t^2 + b t^3),
+    at exact rational parameters (int, Fraction or sympy Rational)."""
+    a, b, lam, mu1, mu2 = (sp.Rational(str(v)) for v in (a, b, lam, mu1, mu2))
+    f1, f2, f3 = XI, T**3 + T**2 * XI + a * T * XI**2, T**2 + b * T**3
+    return sp.expand(f1 + mu1 * f3), sp.expand(f2 + lam * T + mu2 * f3)
+
+
+def criminant(x: sp.Expr, y: sp.Expr) -> sp.Expr:
+    """D = x_xi y_t - x_t y_xi, the Jacobian determinant of (x, y), untruncated."""
+    return sp.expand(sp.diff(x, XI) * sp.diff(y, T) - sp.diff(x, T) * sp.diff(y, XI))

@@ -746,6 +746,7 @@ def test_sweep_beaks_rejects_mu(capsys, tmp_path):
     )
     assert code == EXIT_MALFORMED
     assert "versal" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_bad_lambdas(capsys, tmp_path):
@@ -775,6 +776,38 @@ def test_sweep_non_finite_parameters_are_malformed(capsys, tmp_path, extra):
     assert err.startswith("error:") and "finite" in err
     assert len(err.strip().splitlines()) == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, flag, text",
+    [
+        (["--lambdas=1e-400,1e-5"], "--lambdas", "1e-400"),
+        (["--mode", "versal", "--mu1", "1e-400"], "--mu1", "1e-400"),
+        (["--mu1", "1e-400"], "--mu1", "1e-400"),  # read as 0.0, it passed the beaks check
+        (["--mode", "versal", "--mu2=-2e-324"], "--mu2", "-2e-324"),
+    ],
+)
+def test_sweep_parameters_that_round_to_zero_are_malformed(capsys, tmp_path, extra, flag, text):
+    # before, exit 0 with the parameter drawn as 0.0
+    out_dir = tmp_path / "s"
+    code, out, err = run(
+        capsys, "sweep", "--a", "1/5", "--grid", "16", *extra, "--out", str(out_dir)
+    )
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == f"error: {flag} value {text!r} is not 0 but rounds to 0.0 as a float\n"
+    assert not out_dir.exists()
+
+
+def test_sweep_accepts_every_written_zero(capsys, tmp_path):
+    code, payload, _ = run_json(
+        capsys, "sweep", "--a", "1/5", "--grid", "16", "--mode", "versal",
+        "--lambdas=0,-0.0,0e5", "--mu1=-0.0", "--mu2", "0e5", "--out", str(tmp_path / "s"),
+    )
+    assert code == EXIT_OK
+    frames = [json.loads((tmp_path / "s" / entry["file"]).read_text())
+              for entry in payload["manifest"]["frames"]]
+    assert [frame["params"]["lambda"] for frame in frames] == [0.0, -0.0, 0.0]
+    assert {(frame["params"]["mu1"], frame["params"]["mu2"]) for frame in frames} == {(0.0, 0.0)}
 
 
 # ---------------------------------------------------------------------------

@@ -844,6 +844,49 @@ def test_apply_deformation_rejects_bad_configs():
     assert DeformationParams(lam=0.5).to_json() == {"lambda": 0.5, "mu1": 0.0, "mu2": 0.0}
 
 
+def _float_deformation(base, params):
+    """apply_deformation's float formula before the map was formed exactly."""
+    a3 = coefficient_array(base[2])
+    c1 = coefficient_array(base[0]) + params.mu1 * a3
+    c2 = coefficient_array(base[1]) + params.mu2 * a3
+    c2[0, 1] += params.lam
+    return c1, c2
+
+
+_MODULI = (Fraction(1, 5), Fraction(-1, 2), Fraction(1, 10), Fraction(-3), Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "mode, b, mus",
+    [(MODE_BEAKS, b, [(0.0, 0.0)]) for b in (Fraction(1), Fraction(1, 3), Fraction(13, 7))]
+    + [
+        (MODE_VERSAL, Fraction(b), [(0.0, 0.0), (0.028, 0.019), (-0.1, 0.3)])
+        for b in (1, -1, 0)
+    ],
+)
+def test_exact_deformation_keeps_the_float_formula_bits(mode, b, mus):
+    """Where b * mu is a float, the one rounding of the exact coefficients
+    gives the bits of the float formula, -0.0 parameters included."""
+    for a in _MODULI:
+        base = double_umbrella_form(a, b)
+        for lam in (*default_sweep_lambdas(), -0.0):
+            for mu in mus:
+                params = DeformationParams(lam, *mu)
+                got = apply_deformation(base, params, mode)
+                for have, want in zip((got.c1, got.c2), _float_deformation(base, params)):
+                    assert have.shape == want.shape and have.tobytes() == want.tobytes()
+
+
+def test_exact_deformation_rounds_each_coefficient_once():
+    """At b = 1/3 the float formula rounded b, then mu * b, then the sum."""
+    mu1, mu2 = 0.028, 0.112
+    deformed = apply_deformation(
+        double_umbrella_form(Fraction(1, 5), Fraction(1, 3)), DeformationParams(0.1, mu1, mu2)
+    )
+    assert deformed.c1[0, 3] == float(Fraction(mu1) / 3)
+    assert deformed.c2[0, 3] == float(1 + Fraction(mu2) / 3)
+
+
 def test_beaks_cusp_transition_and_positions():
     """lambda < 0 gives a smooth criminant, lambda > 0 two cusps at the
     analytic positions t = -xi/3, xi^2 = lambda / (1/3 - a)."""
@@ -906,6 +949,18 @@ def test_lift_marks_degenerate_samples_invalid():
     surface = legendrian_lift(germ, GridSpec.square(1.0, 65))
     assert surface.invalid_count == 65
     assert bool(np.all(surface.invalid[:, 32]))
+
+
+def test_lift_takes_the_reciprocal_chart_where_epsilon_dy_underflows():
+    # dx = 2t is 0 on the t = 0 column, where epsilon * |dy| = 1e-8 * 1e-320
+    # is 0.0: the affine chart stored dy / dx = inf there
+    germ = MapGerm((T * T, TruncatedPoly.from_text(SOURCE_VARS, "1e-320 t")))
+    surface = legendrian_lift(germ, GridSpec.square(1.0, 5))
+    assert surface.invalid_count == 0
+    assert np.isfinite(surface.slope).all()
+    assert surface.chart[:, 2].tolist() == [1] * 5
+    assert np.count_nonzero(surface.chart) == 5
+    assert surface.slope[:, 2].tolist() == [0.0] * 5
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0, -1.0, math.nan, math.inf, -math.inf])

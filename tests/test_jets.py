@@ -1,20 +1,31 @@
-"""Jet arithmetic: exact coefficients, degree caps, parsing, composition."""
+"""Jet arithmetic: exact coefficients, degree caps, parsing, composition,
+the deformed map and its criminant."""
 
+import random
 import re
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracle import criminant as oracle_criminant
+from helpers_oracle import deformed_double_umbrella, parse_component
+
+from tanfam.families import double_umbrella_form
 from tanfam.jets import (
     DEFAULT_CAP,
+    MODE_BEAKS,
+    MODE_VERSAL,
     SOURCE_VARS,
     TARGET_VARS,
     MapGerm,
     TruncatedPoly,
     as_fraction,
     compose,
+    criminant,
+    deform,
     grlex_key,
     monomial_basis,
     monomial_text,
@@ -481,3 +492,57 @@ def test_map_germ_validates():
         MapGerm((p("1 + 1 xi"), p("1 t")))
     with pytest.raises(ValueError):
         MapGerm((p("1 xi"), p("1 t", cap=5)))
+
+
+# ---------------------------------------------------------------------------
+# the deformed map and its criminant
+
+
+@pytest.mark.parametrize(
+    "a", [Fraction(1, 5), Fraction(1, 4), Fraction(1, 10), Fraction(-1, 2), Fraction(-3)]
+)
+def test_beaks_criminant_closed_form(a):
+    """The beaks deformation (xi, t^3 + t^2 xi + a t xi^2 + lam t) has
+    D = 3 t^2 + 2 xi t + a xi^2 + lam, also at lam = 1/3 - a."""
+    base = double_umbrella_form(a, 1)
+    for lam in (Fraction(0), Fraction(1, 7), Fraction(-2, 9), Fraction(1, 3) - a):
+        germ = deform(base, lam, 0, 0, MODE_BEAKS)
+        assert germ[0] == base[0]
+        d = criminant(germ)
+        want = {(0, 2): 3, (1, 1): 2, (2, 0): a, (0, 0): lam}
+        assert d == TruncatedPoly(SOURCE_VARS, d.cap, want)
+
+
+def test_deformed_map_and_criminant_match_the_sympy_oracle():
+    """deform and criminant against sympy on seeded rational versal
+    parameters, with b and the mu both free."""
+    rng = random.Random(21)
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    for _ in range(10):
+        a, b, lam, mu1, mu2 = (rational() for _ in range(5))
+        germ = deform(double_umbrella_form(a, b, validate=False), lam, mu1, mu2, MODE_VERSAL)
+        x, y = deformed_double_umbrella(a, b, lam, mu1, mu2)
+        got = [parse_component(c.to_text()) for c in (*germ, criminant(germ))]
+        assert [sp.expand(g - w) for g, w in zip(got, (x, y, oracle_criminant(x, y)))] == [0] * 3
+
+
+def test_deform_takes_float_parameters_exactly_and_checks_its_input():
+    base = double_umbrella_form(Fraction(1, 5), Fraction(1, 3))
+    germ = deform(base, 0.1, -0.0, 0.3, MODE_VERSAL)
+    assert germ[0] == base[0]  # -0.0 adds nothing
+    assert germ[1].coefficient((0, 1)) == Fraction(0.1) != Fraction(1, 10)
+    assert germ[1].coefficient((0, 3)) == 1 + Fraction(0.3) / 3
+    with pytest.raises(ValueError, match="versal mode only"):
+        deform(base, 0.1, 0.0, 1e-300, MODE_BEAKS)
+    with pytest.raises(ValueError, match="mode must be"):
+        deform(base, 0.1, 0, 0, "twist")
+    with pytest.raises(ValueError, match="3-component"):
+        deform(base.planar_projection(), 0.1, 0, 0, MODE_BEAKS)
+
+
+def test_criminant_refuses_a_pair_at_different_caps():
+    with pytest.raises(ValueError, match="degree caps differ"):
+        criminant((p("1 xi"), p("1 t^2", cap=5)))

@@ -19,6 +19,7 @@ import pytest
 
 import tanfam
 from tanfam import (
+    MODE_VERSAL,
     BlockCheck,
     BranchIndex,
     FamilyGerm,
@@ -26,7 +27,7 @@ from tanfam import (
     TruncatedPoly,
     double_umbrella_form,
 )
-from tanfam.jets import SOURCE_VARS
+from tanfam.jets import SOURCE_VARS, criminant, deform
 from tanfam.selfcheck import SuiteResult
 
 SRC = str(Path(tanfam.__file__).resolve().parents[1])
@@ -134,6 +135,25 @@ def test_import_registers_the_float_layer_without_loading_numpy():
         " 'emit': 'tanfam.emit' in sys.modules}))"
     )
     assert result == {"numpy": False, "geometry": True, "emit": True}
+
+
+def test_the_deformed_map_and_its_criminant_form_without_numpy():
+    script = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from tanfam import MODE_VERSAL, double_umbrella_form\n"
+        "from tanfam.jets import criminant, deform\n"
+        "base = double_umbrella_form(Fraction(1, 5), Fraction(1, 3))\n"
+        "germ = deform(base, -0.05, Fraction(1, 7), 0.028, MODE_VERSAL)\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules,"
+        " 'texts': [*germ.to_texts(), criminant(germ).to_text()]}))"
+    )
+    germ = deform(
+        double_umbrella_form(Fraction(1, 5), Fraction(1, 3)), -0.05, Fraction(1, 7), 0.028,
+        MODE_VERSAL,
+    )
+    want = [*germ.to_texts(), criminant(germ).to_text()]
+    assert fresh(script) == {"numpy": False, "texts": want}
 
 
 def test_every_public_name_resolves():
