@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -131,6 +132,27 @@ def _deformation_parameter(flag: str, text: str) -> float:
     return value
 
 
+def _check_versal_term(flag: str, mu: float, b: Fraction, base: int) -> None:
+    """Refuse a versal sweep whose t^3 coefficient base + mu * b, with mu * b
+    formed exactly as jets.deform forms it, is not 0 but beyond the float
+    range at either end.
+
+    base is the normal form's own t^3 coefficient in the component that mu
+    deforms (0 for mu1, 1 for mu2); the float layer would refuse the same
+    coefficient, naming only its monomial.  A non-finite mu is left to the
+    library's finiteness check.
+    """
+    if not math.isfinite(mu):
+        return
+    coefficient = base + Fraction(mu) * b
+    try:
+        in_range = coefficient == 0 or float(coefficient) != 0.0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise CLIError(f"--b times {flag} is beyond the float range")
+
+
 def _parse_lambdas(text: str) -> tuple[float, ...]:
     try:
         values = tuple(
@@ -177,7 +199,9 @@ def _check_args(args: argparse.Namespace) -> None:
     default), ``mu1`` and ``mu2`` are floats, ``b`` is the given --b or 1,
     ``order`` is the working order (None lets classify use cap - 1) and
     ``out`` is a Path, or None where the payload goes to stdout.  A
-    deformation parameter that rounds to 0.0 but is not 0 is refused.
+    deformation parameter that rounds to 0.0 but is not 0 is refused, and
+    so is a versal sweep whose mu * b takes a t^3 coefficient beyond the
+    float range.
     """
     if not 2 <= args.grid <= MAX_GRID_RESOLUTION:
         raise CLIError(f"--grid takes 2 to {MAX_GRID_RESOLUTION} samples per axis")
@@ -199,6 +223,9 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CLIError("--a/--b do not apply to fold-sufficiency")
     if hasattr(args, "b") and args.b is None:
         args.b = Fraction(1)
+    if getattr(args, "mode", None) == MODE_VERSAL:
+        _check_versal_term("--mu1", args.mu1, args.b, 0)
+        _check_versal_term("--mu2", args.mu2, args.b, 1)
     if args.command == "verify" and args.order is None:
         args.order = 4 if args.kind == "fold-sufficiency" else 6
     if args.order is not None and not 1 <= args.order <= args.cap - 1:

@@ -10,6 +10,8 @@ instead of by tolerance.
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -76,8 +78,15 @@ def svg_document(curves: PlaneCurveSet) -> str:
     as a data attribute), one circle per cusp.  The world box is fitted
     uniformly into the viewport with the y axis pointing up.  An empty
     curve set renders as a valid document with no paths.
+
+    A box wider than the float range (finite points whose span overflows)
+    is fitted at half size: every world coordinate is halved first, which
+    is exact for normal floats and cannot overflow.  Otherwise the factor
+    is 1.0, so the bytes are those of the plain fit.
     """
     x_min, x_max, y_min, y_max = _world_bounds(curves)
+    shrink = 1.0 if math.isfinite(max(x_max - x_min, y_max - y_min)) else 0.5
+    x_min, x_max, y_min, y_max = (v * shrink for v in (x_min, x_max, y_min, y_max))
     span = max(x_max - x_min, y_max - y_min)
     scale = (SVG_SIZE - 2.0 * SVG_MARGIN) / span
     offset_x = (SVG_SIZE - (x_max - x_min) * scale) / 2.0
@@ -85,8 +94,8 @@ def svg_document(curves: PlaneCurveSet) -> str:
 
     def place(x: float, y: float) -> tuple[float, float]:
         return (
-            offset_x + (x - x_min) * scale,
-            SVG_SIZE - offset_y - (y - y_min) * scale,
+            offset_x + (x * shrink - x_min) * scale,
+            SVG_SIZE - offset_y - (y * shrink - y_min) * scale,
         )
 
     lines = [
@@ -134,9 +143,10 @@ def obj_document(surface: LiftedSurface) -> str:
     in the file), one per grid sample, so the face arithmetic is pure
     index bookkeeping.  The height is the affine slope p = dy/dx; at
     reciprocal-chart samples it is recovered as 1/q.  Samples where no
-    finite slope exists (q = 0, or the invalid mask) still get a vertex
-    record at height 0 to keep the indexing dense, but no face touches
-    them.  Each fully placeable grid cell becomes two triangles.
+    finite slope exists (q = 0, a 1/q that overflows, or the invalid
+    mask) still get a vertex record at height 0 to keep the indexing
+    dense, but no face touches them.  Each fully placeable grid cell
+    becomes two triangles.
     """
     nx = surface.grid.resolution_xi
     nt = surface.grid.resolution_t
@@ -145,9 +155,12 @@ def obj_document(surface: LiftedSurface) -> str:
     affine = placeable & (surface.chart == 0)
     heights[affine] = surface.slope[affine]
     reciprocal = placeable & (surface.chart == 1)
-    finite = reciprocal & (surface.slope != 0.0)
-    heights[finite] = 1.0 / surface.slope[finite]
-    placeable &= ~(reciprocal & ~finite)
+    # 1/q is inf where q is 0 or so small that it overflows: no finite slope
+    with np.errstate(divide="ignore", over="ignore"):
+        heights[reciprocal] = 1.0 / surface.slope[reciprocal]
+    no_slope = ~np.isfinite(heights)
+    heights[no_slope] = 0.0
+    placeable &= ~no_slope
 
     lines: list[str] = []
     for i in range(nx):
@@ -184,12 +197,18 @@ def emit_obj(surface: LiftedSurface, path) -> Path:
 # ----------------------------------------------------------------------
 
 
+_FRAME_NAME = re.compile(r"frame-[0-9]+\.json")
+
+
 def emit_sweep(frames: Sequence[SweepFrame], directory) -> dict:
     """Write one JSON file per frame, frame-000.json on, plus a manifest.
 
     The manifest carries each frame's file name, deformation parameters
     and headline counts; the frame files hold the full payloads.  Both
-    levels use sorted-key JSON so reruns are byte-identical.
+    levels use sorted-key JSON so reruns are byte-identical.  In a reused
+    directory, frame files (frame-<digits>.json) that this sweep did not
+    write are deleted, so the directory lists exactly the manifest's
+    frames; every other file stays.
     """
     base = _checked_path(directory)
     base.mkdir(parents=True, exist_ok=True)
@@ -208,4 +227,8 @@ def emit_sweep(frames: Sequence[SweepFrame], directory) -> dict:
         )
     manifest = {"count": len(entries), "frames": entries}
     (base / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    written = {entry["file"] for entry in entries}
+    for stale in base.iterdir():
+        if _FRAME_NAME.fullmatch(stale.name) and stale.name not in written and stale.is_file():
+            stale.unlink()
     return manifest

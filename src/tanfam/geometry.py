@@ -5,7 +5,10 @@ deformed map (jets.deform) and its criminant D (jets.criminant) included;
 here a finished map's coefficients cross over into numpy double precision
 once (coefficient_array), and all further work (grid evaluation,
 zero-curve extraction, cusp counting) is plain numerics.  The split keeps
-the algebraic verdicts exact while pictures and counts stay cheap.
+the algebraic verdicts exact while pictures and counts stay cheap.  A
+grid on which the determinant, the envelope, the lift or the cusp scan
+overflows is refused with ValueError by one check (_finite), and the
+lift switches chart at the one threshold CHART_EPSILON.
 
 The criminant of a planar map (the source-side critical curve of the
 projection restricted to the graph surface) is traced with marching
@@ -288,10 +291,9 @@ class PlanarMap:
         """
         shared = {} if self._shared is None else self._shared
         shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
-        mesh = _is_open_mesh(xi, t)
 
         def grid(c):
-            return _evaluate(c, *_own_axes(c, xi, t, mesh))
+            return _evaluate(c, *_own_axes(c, xi, t))
 
         def product():
             j12, j21 = grid(self._d1_t), grid(self._d2_xi)
@@ -305,7 +307,7 @@ class PlanarMap:
         j11 = _shared_grid(shared, (self._d1_xi,), lambda: grid(self._d1_xi))
         j12_j21 = _shared_grid(shared, (self._d1_t, self._d2_xi), product)
         det = np.empty(shape)
-        xi22, t22 = _own_axes(self._d2_t, xi, t, mesh)
+        xi22, t22 = _own_axes(self._d2_t, xi, t)
         full = np.broadcast_shapes(np.shape(xi22), np.shape(t22)) == shape
         np.multiply(j11, _evaluate(self._d2_t, xi22, t22, out=det if full else None), out=det)
         np.subtract(det, j12_j21, out=det)
@@ -333,25 +335,37 @@ def _is_open_mesh(xi, t) -> bool:
     )
 
 
-def _own_axes(c: np.ndarray, xi, t, mesh: bool) -> tuple:
+def _own_axes(c: np.ndarray, xi, t) -> tuple:
     """The samples c needs: on an open mesh, only the axes it depends on.
 
-    When mesh holds (_is_open_mesh) and c has no -0.0 entry, a c without
-    xi terms after _trim gets xi's first row only, giving its (1, M) t
-    row, one without t terms gets t's first column, giving its (N, 1) xi
-    column, and a constant gets both.  Broadcast back, these are the bits
+    When xi and t form an open mesh (_is_open_mesh) and c has no -0.0
+    entry, a c without xi terms after _trim gets xi's first row only,
+    giving its (1, M) t row, one without t terms gets t's first column,
+    giving its (N, 1) xi column, and a constant gets both.  Broadcast back, these are the bits
     of the full-grid evaluation: with no -0.0 coefficient no Horner
     partial result is -0.0, so the xi * 0 and t * 0 terms that carried
     the broadcast, each +-0.0 for a finite sample, add nothing to it.
     Scattered points and anything else get xi and t unchanged.
     """
     c = _trim(c)
-    if mesh and not (np.signbit(c) & (c == 0)).any():
+    if _is_open_mesh(xi, t) and not (np.signbit(c) & (c == 0)).any():
         if c.shape[0] == 1:
             xi = xi[:1]
         if c.shape[1] == 1:
             t = t[:, :1]
     return xi, t
+
+
+def _finite(what: str, *arrays) -> None:
+    """Raise ValueError unless every entry of the arrays is finite.
+
+    An overflowed grid would give a silently wrong zero set, picture or
+    cusp, so the float paths refuse it here.  Their callers form the
+    arrays under np.errstate(over="ignore", invalid="ignore"): the
+    overflow is reported by this check, so numpy need not warn about it.
+    """
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"the {what} is not finite on this grid; shrink the domain")
 
 
 def as_planar_map(target) -> PlanarMap:
@@ -773,11 +787,9 @@ def trace_criminant(target, grid: GridSpec | None = None) -> PlaneCurveSet:
     read from such a grid would be silently wrong.
     """
     grid = grid if grid is not None else GridSpec()
-    # Overflow is detected just below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(as_planar_map(target).det(*grid.mesh()), dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("the Jacobian determinant is not finite on this grid; shrink the domain")
+    _finite("Jacobian determinant", values)
     curves = _march(values, grid.xi_samples(), grid.t_samples())
     curves = _repair_nodes(curves, _SPLICE_RADIUS_CELLS * grid.cell_diagonal())
     branches = tuple(
@@ -796,11 +808,9 @@ def envelope_curves(target, criminant: PlaneCurveSet) -> PlaneCurveSet:
     planar = as_planar_map(target)
 
     def image(xi, t):
-        # Overflow is detected just below, so numpy need not warn about it.
         with np.errstate(over="ignore", invalid="ignore"):
             x, y = planar(xi, t)
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("the envelope is not finite on this grid; shrink the domain")
+        _finite("envelope", x, y)
         return x, y
 
     branches = []
@@ -866,7 +876,6 @@ def _branch_cusps(branch: Branch, planar: PlanarMap) -> list[tuple[float, float]
     j11, j12, j21, j22 = planar.jacobian(pts[:, 0], pts[:, 1])
     row1 = np.stack([j11, j12], axis=1)
     row2 = np.stack([j21, j22], axis=1)
-    # Overflow is detected just below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         norm1 = np.linalg.norm(row1, axis=1)
         norm2 = np.linalg.norm(row2, axis=1)
@@ -876,8 +885,7 @@ def _branch_cusps(branch: Branch, planar: PlanarMap) -> list[tuple[float, float]
         dot = kernel[:, 0] * tangent[:, 0] + kernel[:, 1] * tangent[:, 1]
     # An inf norm picks the kernel row blindly; an inf or NaN product gives
     # a wrong angle or one that is never a cusp.
-    if not all(np.isfinite(v).all() for v in (norm1, norm2, cross, dot)):
-        raise ValueError("the cusp scan is not finite on this grid; shrink the domain")
+    _finite("cusp scan", norm1, norm2, cross, dot)
     angles = _line_angles_degrees(cross, dot)
 
     candidates = set(np.nonzero(np.abs(angles) <= CUSP_ANGLE_DEGREES)[0].tolist())
@@ -937,8 +945,8 @@ class LiftedSurface:
 
     chart is 0 where the affine slope p = dy/dx is used, 1 where the
     reciprocal chart q = dx/dy took over, and invalid marks samples where
-    both derivatives vanish (the curve is not immersed there).  grid and
-    epsilon say how chart was made; the derivatives themselves are
+    both derivatives vanish (the curve is not immersed there).  The
+    chart threshold is CHART_EPSILON; the derivatives themselves are
     PlanarMap.jacobian's entries 1 and 3 on grid.mesh().
     """
 
@@ -948,65 +956,50 @@ class LiftedSurface:
     slope: np.ndarray = field(repr=False)
     chart: np.ndarray = field(repr=False)
     invalid: np.ndarray = field(repr=False)
-    epsilon: float = CHART_EPSILON
-
-    @property
-    def invalid_count(self) -> int:
-        return int(np.count_nonzero(self.invalid))
 
 
-def legendrian_lift(
-    target, grid: GridSpec | None = None, epsilon: float = CHART_EPSILON
-) -> LiftedSurface:
+def legendrian_lift(target, grid: GridSpec | None = None) -> LiftedSurface:
     """Sample the lift of a planar family map with its slope coordinate.
 
     The slope is p = dy/dx along the family parameter t; where
-    |dx| < epsilon * |dy|, or dx = 0 != dy, the reciprocal chart
+    |dx| < CHART_EPSILON * |dy|, or dx = 0 != dy, the reciprocal chart
     q = dx/dy is stored instead and the sample is tagged.  Samples with
-    dx = dy = 0 are marked invalid rather than raising.  epsilon must be finite and
-    positive, and x, y, dx and dy finite on the grid; ValueError otherwise.
+    dx = dy = 0 are marked invalid rather than raising.  x, y, dx and dy
+    must be finite on the grid; ValueError otherwise.
 
     x, y, dx and dy are each evaluated on only the grid axes they depend
     on (_own_axes, as in PlanarMap.det) and checked there; for an adapted
-    family dx is the constant 1.  dx and dy are never broadcast: epsilon *
-    |dy| is formed in the slope buffer and compared with |dx| into the
-    chart array; where dx has a zero, one boolean pass adds the samples
-    with dx = 0 != dy, at which epsilon * |dy| can underflow to 0.0.  The
-    plain dy / dx then goes over the whole slope buffer,
-    and masked passes rewrite only the reciprocal samples with dx / dy and
-    the invalid ones with +0.0.  Per sample these are the operations of
-    the masked divides over full grids, so the bits are the same.  The
-    derivative grids are dropped before x and y are evaluated.  Every
-    returned array has the grid's shape and owns its data.
+    family dx is the constant 1.  dx and dy are never broadcast:
+    CHART_EPSILON * |dy| is formed in the slope buffer and compared with
+    |dx| into the chart array; where dx has a zero, one boolean pass adds
+    the samples with dx = 0 != dy, at which CHART_EPSILON * |dy| can
+    underflow to 0.0.  The plain dy / dx then goes over the whole slope
+    buffer, and masked passes rewrite only the reciprocal samples with
+    dx / dy and the invalid ones with +0.0.  Per sample these are the
+    operations of the masked divides over full grids, so the bits are the
+    same.  The derivative grids are dropped before x and y are evaluated.
+    Every returned array has the grid's shape and owns its data.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"the chart epsilon must be finite and positive, not {epsilon!r}")
     grid = grid if grid is not None else GridSpec()
     planar = as_planar_map(target)
     xi, t = grid.mesh()
     shape = (grid.resolution_xi, grid.resolution_t)
-    mesh = _is_open_mesh(xi, t)
 
     def own(c):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _evaluate(c, *_own_axes(c, xi, t, mesh))
-        if not np.isfinite(values).all():
-            raise ValueError("the lift is not finite on this grid; shrink the domain")
+            values = _evaluate(c, *_own_axes(c, xi, t))
+        _finite("lift", values)
         return values
 
     def full(values):
-        if values.shape == shape:
-            return values
-        out = np.empty(shape)
-        out[...] = values
-        return out
+        return values if values.shape == shape else np.broadcast_to(values, shape).copy()
 
     d_x, d_y = own(planar._d1_t), own(planar._d2_t)
     slope = np.empty(shape)
     np.abs(d_y, out=slope)
-    np.multiply(epsilon, slope, out=slope)
+    np.multiply(CHART_EPSILON, slope, out=slope)
     chart = np.empty(shape, dtype=np.uint8)
-    # 0 where d_x = d_y = 0, since 0 < epsilon * 0 fails
+    # 0 where d_x = d_y = 0, since 0 < CHART_EPSILON * 0 fails
     np.less(np.abs(d_x), slope, out=chart)
     dx_zero = d_x == 0.0
     invalid = np.logical_and(dx_zero, d_y == 0.0, out=np.empty(shape, dtype=bool))
@@ -1025,7 +1018,6 @@ def legendrian_lift(
         slope=slope,
         chart=chart,
         invalid=invalid,
-        epsilon=epsilon,
     )
 
 
@@ -1063,10 +1055,9 @@ DEFAULT_SWEEP_STEPS = 11
 DEFAULT_SWEEP_LIMIT = 0.25
 
 
-def default_sweep_lambdas(
-    limit: float = DEFAULT_SWEEP_LIMIT, steps: int = DEFAULT_SWEEP_STEPS
-) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.linspace(-limit, limit, steps))
+def default_sweep_lambdas() -> tuple[float, ...]:
+    lambdas = np.linspace(-DEFAULT_SWEEP_LIMIT, DEFAULT_SWEEP_LIMIT, DEFAULT_SWEEP_STEPS)
+    return tuple(lambdas.tolist())
 
 
 @dataclass(frozen=True)
@@ -1100,30 +1091,9 @@ def analyze_deformation(
     mode: str = MODE_VERSAL,
     grid: GridSpec | None = None,
 ) -> SweepFrame:
-    """Trace, count and map one deformation frame."""
-    return _analyze(base, params, mode, grid, None)
-
-
-def _analyze(
-    base: MapGerm,
-    params: DeformationParams,
-    mode: str,
-    grid: GridSpec | None,
-    shared: dict | None,
-) -> SweepFrame:
-    """analyze_deformation, the deformed map's determinant grids shared
-    through the given dict (PlanarMap.det)."""
-    grid = grid if grid is not None else GridSpec()
-    deformed = apply_deformation(base, params, mode)
-    deformed._shared = shared
-    criminant = count_cusps(deformed, grid).curves
-    return SweepFrame(
-        params=params,
-        mode=mode,
-        criminant=criminant,
-        envelope=envelope_curves(deformed, criminant),
-        grid=grid,
-    )
+    """Trace, count and map one deformation frame: a one-frame deformation_sweep."""
+    (frame,) = deformation_sweep(base, mode, (params.lam,), grid, params.mu1, params.mu2)
+    return frame
 
 
 def deformation_sweep(
@@ -1143,8 +1113,14 @@ def deformation_sweep(
     bytes, and every frame evaluates j22 only.
     """
     lambdas = tuple(lambdas) if lambdas is not None else default_sweep_lambdas()
+    grid = grid if grid is not None else GridSpec()
     shared: dict = {}  # every frame is traced on the one grid
-    return [
-        _analyze(base, DeformationParams(lam=lam, mu1=mu1, mu2=mu2), mode, grid, shared)
-        for lam in lambdas
-    ]
+    frames = []
+    for lam in lambdas:
+        params = DeformationParams(lam=lam, mu1=mu1, mu2=mu2)
+        deformed = apply_deformation(base, params, mode)
+        deformed._shared = shared
+        criminant = count_cusps(deformed, grid).curves
+        envelope = envelope_curves(deformed, criminant)
+        frames.append(SweepFrame(params, mode, criminant, envelope, grid))
+    return frames

@@ -203,6 +203,13 @@ def test_classify_file_input(capsys, tmp_path):
     assert payload["variant"] == "TypeI"
 
 
+def test_classify_file_that_is_not_a_json_object_is_malformed(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert (code, out, err) == (EXIT_MALFORMED, "", "error: input JSON must be an object\n")
+
+
 def test_classify_rejects_a_repeated_key(capsys):
     # the last "u" alone is indeterminate (exit 2); the first would classify
     code, out, err = run(capsys, "classify", "--input", '{"u": "1 xi t^2", "u": "1 t^3"}')
@@ -555,6 +562,21 @@ def test_envelope_determinant_overflow_is_malformed(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_envelope_whose_extent_overflows_draws_a_finite_picture(capsys, tmp_path):
+    # every image point is finite, but x_max - x_min overflowed in the SVG
+    # fit: exit 0 with 11 polylines reading "nan,320.000000 ..."
+    out_path = tmp_path / "env.svg"
+    code, payload, _ = run_json(
+        capsys, "envelope", "--input", '{"components": ["2 xi + 1 t", "1/4 xi t^2"]}',
+        "--domain=-8.9e307,8.9e307,-1e-300,1e-300", "--grid", "16", "--out", str(out_path),
+    )
+    assert code == EXIT_OK
+    svg = out_path.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == payload["branches"] == 11
+    check_schema(payload, "envelope")
+
+
 def test_envelope_not_tangential_family_hints_components(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -640,6 +662,21 @@ def test_sweep_writes_frames_and_manifest(capsys, tmp_path):
         frame = json.loads((out_dir / entry["file"]).read_text())
         check_schema(frame, "sweep-frame")
         assert frame["cusps"] == entry["cusps"]
+
+
+def test_a_reused_sweep_directory_keeps_no_stale_frames(capsys, tmp_path):
+    # before, the second sweep left frame-001 to frame-003 next to a
+    # manifest that lists one frame
+    out_dir = tmp_path / "d"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept\n")
+    for lambdas in ("--lambdas=-0.1,0,0.1,0.2", "--lambdas=0.1"):
+        code, _, _ = run(capsys, "sweep", "--a", "1/5", lambdas, "--grid", "16", "--out", str(out_dir))
+        assert code == EXIT_OK
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "frame-000.json", "manifest.json", "notes.txt"
+    ]
+    assert (out_dir / "notes.txt").read_text() == "kept\n"
 
 
 def test_sweep_rejects_excluded_modulus(capsys, tmp_path):
@@ -734,6 +771,43 @@ def test_huge_domain_exits_malformed_without_warnings(tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--b", "1e-320", "--mu1", "1e-10"], "--mu1"),
+        (["--b", "1e300", "--mu1", "1e10"], "--mu1"),
+        (["--b", "1e300", "--mu2", "1e10"], "--mu2"),
+        (["--b=-1e300", "--mu2=-1e10"], "--mu2"),
+    ],
+)
+def test_a_versal_term_beyond_the_float_range_names_its_flags(capsys, tmp_path, extra, flag):
+    # before, "the coefficient of t^3 is beyond the float range", which names
+    # neither --b nor the mu flag
+    out_dir = tmp_path / "s"
+    code, out, err = run(
+        capsys, "sweep", "--a", "1/5", "--mode", "versal", "--lambdas=0.1", "--grid", "16",
+        *extra, "--out", str(out_dir),
+    )
+    assert (code, out) == (EXIT_MALFORMED, "")
+    assert err == f"error: --b times {flag} is beyond the float range\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--b", "1e-320", "--mu2", "1e-10"],  # 1 + mu2 * b is in range
+        ["--b", "0", "--mu1", "1e-10"],  # mu1 * b is exactly 0
+    ],
+)
+def test_a_versal_term_whose_t3_coefficient_is_in_range_is_accepted(capsys, tmp_path, extra):
+    code, _, _ = run(
+        capsys, "sweep", "--a", "1/5", "--mode", "versal", "--lambdas=0.1", "--grid", "16",
+        *extra, "--out", str(tmp_path / "s"),
+    )
+    assert code == EXIT_OK
+
+
 def test_sweep_beaks_rejects_mu(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -755,6 +829,15 @@ def test_sweep_bad_lambdas(capsys, tmp_path):
     )
     assert code == EXIT_MALFORMED
     assert "--lambdas" in err
+
+
+def test_sweep_lambdas_listing_no_value_are_malformed(capsys, tmp_path):
+    out_dir = tmp_path / "s"
+    code, out, err = run(capsys, "sweep", "--a=-1/2", "--lambdas=,", "--out", str(out_dir))
+    assert (code, out, err) == (
+        EXIT_MALFORMED, "", "error: --lambdas must list at least one value\n"
+    )
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -947,6 +1030,18 @@ def test_cap_above_budget_is_malformed(capsys, tmp_path, monkeypatch, argv):
     assert out == ""
     assert err.startswith("error:") and "--cap" in err and "28" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--input", '{"u": "1 t^2"}'],
+        ["verify", "--kind", "fold-sufficiency", "--order", "1"],
+    ],
+)
+def test_cap_below_two_is_malformed(capsys, argv):
+    code, out, err = run(capsys, *argv, "--cap", "1")
+    assert (code, out, err) == (EXIT_MALFORMED, "", "error: --cap must be at least 2\n")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """SVG / OBJ / sweep-archive emitters: structure, determinism, edge cases."""
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +79,18 @@ def test_svg_deterministic_and_sized():
     assert f'width="{SVG_SIZE}"' in svg_document(curves)
 
 
+def test_svg_fits_a_box_whose_span_overflows():
+    # every point is finite, but x_max - x_min overflowed: the scale was 0,
+    # the offset NaN, and every placed point read "nan"
+    wide = Branch(points=((-1.5e308, 0.0), (0.0, 1.0), (1.5e308, 0.0)), tag="branch-0")
+    doc = svg_document(PlaneCurveSet(branches=(wide,), cusps=((1.5e308, 0.0),)))
+    numbers = [float(v) for v in re.findall(r"-?[0-9]+\.[0-9]+", doc)]
+    assert "nan" not in doc and "inf" not in doc
+    assert all(math.isfinite(v) and 0.0 <= v <= SVG_SIZE for v in numbers)
+    assert 'points="24.000000,' in doc  # x_min lands on the margin
+    assert '<circle cx="616.000000"' in doc  # x_max on the far margin
+
+
 def test_emit_svg_writes_file(tmp_path):
     curves = _two_branch_set()
     out = emit_svg(curves, tmp_path / "curves.svg")
@@ -118,9 +132,23 @@ def test_obj_reciprocal_chart_drops_flat_row():
 def test_obj_invalid_samples_drop_faces():
     # (t^2, t^3) has both t-derivatives vanishing along t = 0
     surface = legendrian_lift(MapGerm((T * T, T**3)), GridSpec.square(1.0, 5))
-    assert surface.invalid_count == 5
+    assert np.count_nonzero(surface.invalid) == 5
     face_lines = [l for l in obj_document(surface).splitlines() if l.startswith("f ")]
     assert len(face_lines) == 16
+
+
+def test_obj_treats_an_overflowing_reciprocal_like_q_zero():
+    # q = dx/dy = 1e-310 everywhere: 1/q overflowed, "inf" heights were
+    # written and numpy warned
+    x = TruncatedPoly.from_text(SOURCE_VARS, "1e-310 t", 8)
+    surface = legendrian_lift(MapGerm((x, T)), GridSpec.square(1.0, 3))
+    assert surface.chart.all()
+    doc = obj_document(surface)
+    assert "inf" not in doc and "nan" not in doc
+    vertex_lines = [l for l in doc.splitlines() if l.startswith("v ")]
+    assert len(vertex_lines) == 9
+    assert [l.split()[3] for l in vertex_lines] == ["0.000000"] * 9
+    assert not any(l.startswith("f ") for l in doc.splitlines())
 
 
 def test_emit_obj_writes_file(tmp_path):
@@ -161,6 +189,19 @@ def test_emit_sweep_layout(tmp_path):
 
     on_disk = json.loads((directory / "manifest.json").read_text())
     assert on_disk == manifest
+
+
+def test_emit_sweep_deletes_only_its_own_stale_frames(tmp_path):
+    directory = tmp_path / "out"
+    directory.mkdir()
+    kept = ["notes.txt", "frame-00a.json", "frame-000.json.bak", "frame-001.txt", "xframe-003.json"]
+    for name in kept + ["frame-005.json", "frame-0001.json"]:
+        (directory / name).write_text("{}\n")
+    (directory / "frame-007.json").mkdir()  # not a file: left alone
+    emit_sweep(_small_frames()[:1], directory)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(
+        kept + ["frame-000.json", "frame-007.json", "manifest.json"]
+    )
 
 
 def test_emit_sweep_byte_stable(tmp_path):

@@ -281,6 +281,15 @@ def test_probe_family_representatives():
     assert not probe_branch_index(a_bare, "A").resolved
 
 
+def test_probe_h_top_failure_off_the_3j_minus_1_pattern_is_unresolved():
+    # the top resisting degree 4 is not 3j - 1, so no H index fits it
+    germ = MapGerm(
+        tuple(TruncatedPoly.from_text(SOURCE_VARS, text, 8) for text in ("0", "3 xi^3 t", "-3 xi"))
+    )
+    got = probe_branch_index(germ, "H")
+    assert (got.resolved, got.n, got.lower_bound, got.essential_degree) == (False, None, 2, 4)
+
+
 def test_probe_validates_family_name():
     with pytest.raises(ValueError):
         probe_branch_index(fold_form(8), "Q")
