@@ -19,9 +19,11 @@ argparse holds each default it can express, and one check fills in the
 rest (verify's per-kind working order, the output path) and rejects
 out-of-range values.  The commands then read the checked namespace.
 
-Inputs are JSON, passed either as a file path or inline (anything
-starting with "{").  All rational parameters are exact: "1/5", "-0.5"
-and integers are accepted, binary floats never sneak into the algebra.
+Inputs are JSON, passed either inline (text whose first non-blank
+character is "{" or "[") or as a file path; a file whose name starts
+with "[" is passed as "./[name]".  All rational parameters are exact:
+"1/5", "-0.5" and integers are accepted, binary floats never sneak into
+the algebra.
 """
 
 from __future__ import annotations
@@ -178,7 +180,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load_input(text: str) -> dict:
     stripped = text.strip()
     try:
-        raw = stripped if stripped.startswith("{") else Path(text).read_text(encoding="utf-8")
+        inline = stripped.startswith(("{", "["))
+        raw = stripped if inline else Path(text).read_text(encoding="utf-8")
         data = json.loads(raw, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
@@ -417,15 +420,13 @@ def _text_lines(value, indent: int = 0) -> list[str]:
                 lines.extend(_text_lines(child, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(child)}")
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)) and item:
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
     return lines
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +69,15 @@ def _world_bounds(curves: PlaneCurveSet) -> tuple[float, float, float, float]:
         x_min, x_max = x_min - 0.5, x_max + 0.5
     if y_max - y_min < 1e-12:
         y_min, y_max = y_min - 0.5, y_max + 0.5
+    if x_min == x_max and y_min == y_max:
+        # One point so far out (beyond about 1e16) that 0.5 rounds away:
+        # widen by a step relative to its size, kept inside the float range.
+        top = sys.float_info.max
+        x_min, x_max, y_min, y_max = (
+            min(max(v + side * abs(v) * 2.0**-20, -top), top)
+            for v in (x_min, y_min)
+            for side in (-1, 1)
+        )
     return x_min, x_max, y_min, y_max
 
 

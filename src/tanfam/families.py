@@ -192,18 +192,12 @@ def invariant_a(g: "FamilyGerm | FamilyInvariants") -> Fraction:
 
     Always <= 1/3, with equality exactly when 2 k1 = 3 alpha.
     """
-    k0, k1, alpha = _invariants_of(g)
+    k0, k1, alpha = (as_fraction(v) for v in (g.k0, g.k1, g.alpha))
     if k1 == 0:
         raise ValueError("the modulus a needs k1 != 0 (family not of second type)")
     if k0 != 0:
         raise ValueError("the modulus a is defined for k0 = 0 families only")
     return (alpha - k1) * (k1 - 3 * alpha) / (k1 * k1)
-
-
-def _invariants_of(g: "FamilyGerm | FamilyInvariants") -> FamilyInvariants:
-    if isinstance(g, FamilyGerm):
-        return g.invariants
-    return FamilyInvariants(*(as_fraction(v) for v in g))
 
 
 class BranchIndex(NamedTuple):
@@ -215,9 +209,12 @@ class BranchIndex(NamedTuple):
     An H germ of index n leaves exactly the signature degrees 3j - 1 for
     j < n unabsorbed, an A germ of index n every degree from 2 to n, so
     the top failure determines n when the scan also witnesses absorption
-    at the germ's own distinguishing degree.  When that degree lies above
-    the order, resolved is False and lower_bound gives the smallest index
-    still compatible with what was seen.
+    at the germ's own distinguishing degree (3n - 1 for H, n + 1 for A).
+    When that degree lies above the order, resolved is False and
+    lower_bound gives the smallest index still compatible with what was
+    seen; a top failure that is no signature degree, or none at all,
+    gives lower_bound 2, the smallest index of either family.
+    lower_bound is therefore always at least 2.
     """
 
     family: str
@@ -228,14 +225,7 @@ class BranchIndex(NamedTuple):
     essential_degree: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "order": self.order,
-            "resolved": self.resolved,
-            "n": self.n,
-            "lower_bound": self.lower_bound,
-            "essential_degree": self.essential_degree,
-        }
+        return self._asdict()
 
 
 def probe_branch_index(
@@ -252,6 +242,13 @@ def probe_branch_index(
     change; the top degree that resists marks the adjacent more generic
     germ in the branch and so pins the index, provided enough of the
     window above it was seen to rule out deeper members.
+
+    One rule serves both families.  From the top failure d it reads the
+    index n, whether d is a signature degree, and the germ's own degree:
+    for H, n = (d + 1) // 3 + 1, a signature when 3 divides d + 1, own
+    degree 3n - 1; for A, n = d, a signature when d >= 2, own degree
+    n + 1.  No signature gives lower_bound 2, an own degree above the
+    order gives lower_bound n, and otherwise n is resolved.
     """
     if family not in ("H", "A"):
         raise ValueError(f"branch family must be 'H' or 'A', got {family!r}")
@@ -265,29 +262,21 @@ def probe_branch_index(
         # Nothing resists at any degree; no branch signature in the window.
         return BranchIndex(family, order, resolved=False, lower_bound=2)
     if family == "H":
-        n, remainder = divmod(top_failure + 1, 3)
-        n += 1
-        if remainder != 0:
-            # Not a 3j - 1 signature degree; outside the H pattern.
-            return BranchIndex(
-                family, order, resolved=False, lower_bound=2, essential_degree=top_failure
-            )
-        if 3 * n - 1 > order:
-            # The germ's own term t^(3n-1) sits above the window, so any
-            # deeper member of the branch would look identical.
-            return BranchIndex(
-                family, order, resolved=False, lower_bound=n, essential_degree=top_failure
-            )
-        return BranchIndex(family, order, resolved=True, n=n, essential_degree=top_failure)
-    n = top_failure
-    if n == order:
-        # Failure at the very top of the window; deeper members match too.
-        return BranchIndex(
-            family, order, resolved=False, lower_bound=n, essential_degree=top_failure
-        )
-    if n < 2:
+        n = (top_failure + 1) // 3 + 1
+        signature = (top_failure + 1) % 3 == 0
+        own_degree = 3 * n - 1
+    else:
+        n, signature, own_degree = top_failure, top_failure >= 2, top_failure + 1
+    if not signature:
+        # Outside the family's signature pattern.
         return BranchIndex(
             family, order, resolved=False, lower_bound=2, essential_degree=top_failure
+        )
+    if own_degree > order:
+        # The germ's own distinguishing degree sits above the window, so
+        # any deeper member of the branch would look identical.
+        return BranchIndex(
+            family, order, resolved=False, lower_bound=n, essential_degree=top_failure
         )
     return BranchIndex(family, order, resolved=True, n=n, essential_degree=top_failure)
 
@@ -341,20 +330,12 @@ def classify(g: FamilyGerm, order: int | None = None) -> SingularityLabel:
     if g.k1 == 0 or g.k1 == g.alpha:
         return SingularityLabel(variant="IndeterminateAtOrder", order=order, germ=germ)
     a = invariant_a(g)
-    applicable = _normal_form_applies(a)
-    if 2 * g.k1 == 3 * g.alpha:
-        return SingularityLabel(
-            "HBranch", a=a, projection_form_applicable=applicable,
-            branch=probe_branch_index(germ, "H", order), order=order, germ=germ,
-        )
-    if g.k1 == 3 * g.alpha:
-        return SingularityLabel(
-            "ABranch", a=a, projection_form_applicable=applicable,
-            branch=probe_branch_index(germ, "A", order), order=order, germ=germ,
-        )
-    variant = "A1Plus" if a > 0 else "A1Minus"
+    family = "H" if 2 * g.k1 == 3 * g.alpha else "A" if g.k1 == 3 * g.alpha else None
+    variant = f"{family}Branch" if family else "A1Plus" if a > 0 else "A1Minus"
     return SingularityLabel(
-        variant, a=a, projection_form_applicable=applicable, order=order, germ=germ
+        variant, a=a, projection_form_applicable=_normal_form_applies(a),
+        branch=None if family is None else probe_branch_index(germ, family, order),
+        order=order, germ=germ,
     )
 
 

@@ -79,6 +79,14 @@ IntTable = dict[Exponents, int]
 _VAR_ALIASES = {"ξ": "xi", "τ": "t"}
 
 
+def _variable_index(variables: tuple[str, ...], name: str) -> int:
+    """Position of a variable, given by name or by its alias (ξ, τ)."""
+    name = _VAR_ALIASES.get(name, name)
+    if name not in variables:
+        raise ValueError(f"unknown variable {name!r}; have {variables}")
+    return variables.index(name)
+
+
 # Most decimal digits the numerator or the denominator of an input number
 # may have.  classify prints the modulus a, whose numerator and
 # denominator have up to four times the digits of k1 and alpha; at this
@@ -307,10 +315,8 @@ class TruncatedPoly:
         cls, variables: Sequence[str], name: str, cap: int = DEFAULT_CAP
     ) -> "TruncatedPoly":
         variables = tuple(variables)
-        name = _VAR_ALIASES.get(name, name)
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r}; have {variables}")
-        exponents = tuple(1 if v == name else 0 for v in variables)
+        name = variables[_variable_index(variables, name)]
+        exponents = tuple(int(v == name) for v in variables)
         return cls(variables, cap, {exponents: 1})
 
     @classmethod
@@ -435,10 +441,7 @@ class TruncatedPoly:
         <= cap-1 carry full information (the cap-degree terms of self had
         no degree-(cap+1) neighbours to receive from).
         """
-        name = _VAR_ALIASES.get(name, name)
-        if name not in self._vars:
-            raise ValueError(f"unknown variable {name!r}; have {self._vars}")
-        num = partial_derivative(self._num, self._vars.index(name))
+        num = partial_derivative(self._num, _variable_index(self._vars, name))
         return _canonical(self._vars, self._cap, num, self._den)
 
     def jet(self, order: int) -> "TruncatedPoly":

@@ -366,13 +366,7 @@ class BlockCheck(NamedTuple):
         return self.holds
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "block": list(self.block),
-            "order": self.order,
-            "modulo_degree": self.modulo_degree,
-            "witness": self.witness,
-        }
+        return {**self._asdict(), "block": list(self.block)}
 
 
 def contains_ideal_block(

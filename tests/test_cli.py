@@ -103,6 +103,23 @@ def test_classify_not_tangential_is_a_verdict(capsys):
 
 
 @pytest.mark.parametrize(
+    "family, raw",
+    [("HBranch", '{"k0": "0", "k1": "3", "alpha": "2"}'),
+     ("ABranch", '{"k0": "0", "k1": "3", "alpha": "1"}')],
+    ids=["H", "A"],
+)
+def test_branch_verdicts_fit_the_schema_at_every_order(capsys, family, raw):
+    for cap in range(3, 11):
+        for order in range(1, cap):
+            code, payload, _ = run_json(
+                capsys, "classify", "--input", raw, "--cap", str(cap), "--order", str(order)
+            )
+            assert code in (EXIT_OK, EXIT_INDETERMINATE), (cap, order)
+            assert payload["variant"] == family
+            check_schema(payload, "classify")
+
+
+@pytest.mark.parametrize(
     "raw",
     [
         '{"u": "1 q^2"}',  # unknown variable
@@ -132,6 +149,8 @@ def test_classify_malformed_inputs(capsys, raw):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+    if raw == "[1, 2]":
+        assert err == "error: input JSON must be an object\n"
 
 
 @pytest.mark.parametrize("power", ["-0", "+2", "1_0", "x"])
@@ -950,6 +969,49 @@ def test_text_format(capsys):
     assert "variant: TypeI" in out
     assert "reason: none" in out
     assert "{" not in out
+
+
+def test_text_format_renders_booleans_and_empty_objects(capsys):
+    code, out, _ = run(capsys, "verify", "--kind", "fold-sufficiency", "--format", "text")
+    assert code == EXIT_OK
+    assert out == (
+        "kind: fold-sufficiency\n"
+        "params: {}\n"
+        "order: 4\n"
+        "predicted: true\n"
+        "measured: true\n"
+        "agrees: true\n"
+        "detail:\n"
+        "  holds: true\n"
+        "  block:\n"
+        "    - 2\n"
+        "    - 3\n"
+        "    - 2\n"
+        "  order: 4\n"
+        "  modulo_degree: 5\n"
+        "  witness: none\n"
+    )
+
+
+def test_text_format_renders_lists_of_objects(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "envelope", "--input", '{"u": "1 xi t^2"}', "--grid", "64",
+        "--out", str(tmp_path / "e.svg"), "--format", "text",
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    start = lines.index("fits:")
+    assert lines[start + 1 : start + 3] == ["  -", "    tag: branch-0"]
+    assert lines[start + 3].startswith("    c: ")
+    assert lines[start + 4 : start + 6] == ["  -", "    tag: branch-1"]
+
+
+def test_text_format_renders_empty_lists(capsys):
+    code, out, _ = run(
+        capsys, "selfcheck", "--rounds", "1", "--samples", "1", "--format", "text"
+    )
+    assert code == EXIT_OK
+    assert out.count("\n    failures: []\n") == 5
 
 
 def test_json_output_is_stable(capsys):

@@ -91,6 +91,23 @@ def test_svg_fits_a_box_whose_span_overflows():
     assert '<circle cx="616.000000"' in doc  # x_max on the far margin
 
 
+@pytest.mark.parametrize(
+    "point", [(1e20, 1e20), (-1e20, 3e300), (1.7976931348623157e308, -1.7976931348623157e308)]
+)
+def test_svg_fits_one_point_where_half_a_unit_rounds_away(point):
+    # x +- 0.5 and y +- 0.5 both rounded back to the point: the span stayed
+    # 0 and the scale divided by it
+    doc = svg_document(PlaneCurveSet(branches=(Branch((point, point), "b"),), cusps=(point,)))
+    numbers = [float(v) for v in re.findall(r"-?[0-9]+\.[0-9]+", doc)]
+    assert "nan" not in doc and "inf" not in doc
+    assert all(math.isfinite(v) and 0.0 <= v <= SVG_SIZE for v in numbers)
+
+
+def test_svg_single_point_keeps_the_half_unit_box():
+    doc = svg_document(PlaneCurveSet(branches=(Branch(((1e15, -3.0), (1e15, -3.0)), "b"),)))
+    assert 'points="320.000000,320.000000 320.000000,320.000000"' in doc
+
+
 def test_emit_svg_writes_file(tmp_path):
     curves = _two_branch_set()
     out = emit_svg(curves, tmp_path / "curves.svg")

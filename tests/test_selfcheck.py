@@ -1,7 +1,16 @@
 """Randomized consistency suites and the naive rank oracle."""
 
+import contextlib
+import io
+import itertools
+import json
 import random
+import re
 
+import pytest
+
+import tanfam.selfcheck
+from tanfam.cli import EXIT_CONTRADICTS, main
 from tanfam.jets import MapGerm, SOURCE_VARS, TruncatedPoly
 from tanfam.selfcheck import (
     DEFAULT_ORACLE_ORDER,
@@ -96,6 +105,61 @@ def test_failures_are_recorded_and_bounded():
     assert not result.ok
     assert result.to_json()["ok"] is False
     assert result.to_json()["failures"] == ["r0", "r1"]
+
+
+def _lopsided_add(monkeypatch):
+    """f + g gives f + f: addition stops commuting."""
+    add = TruncatedPoly.__add__
+    monkeypatch.setattr(TruncatedPoly, "__add__", lambda self, other: add(self, self))
+
+
+def _drifting_compose(monkeypatch):
+    """Each composition is off by a multiple of t that grows call by call."""
+    compose, calls = tanfam.selfcheck.compose, itertools.count(1)
+
+    def drifting(g, components):
+        out = compose(g, components)
+        return out + next(calls) * TruncatedPoly.variable(SOURCE_VARS, "t", out.cap)
+
+    monkeypatch.setattr(tanfam.selfcheck, "compose", drifting)
+
+
+def _wrong_oracle(monkeypatch):
+    monkeypatch.setattr(tanfam.selfcheck, "naive_tangent_rank", lambda germ, order, kind: -1)
+
+
+@pytest.mark.parametrize(
+    "check, fault, message",
+    [
+        (check_ring_laws, _lopsided_add, "addition not commutative for "),
+        (check_leibniz, _lopsided_add, "Leibniz fails in d/d"),
+        (check_chain_rule, _drifting_compose, "chain rule fails in d/d"),
+        (check_composition, _drifting_compose, "truncation at "),
+        (check_rank_oracle, _wrong_oracle, "rank mismatch for "),
+    ],
+)
+def test_an_injected_fault_is_recorded_and_bounded(monkeypatch, check, fault, message):
+    fault(monkeypatch)
+    result = check(seed=0) if check is check_rank_oracle else check(seed=0, rounds=12)
+    assert not result.ok
+    assert len(result.failures) == 5
+    for failure in result.failures:
+        assert re.match(rf"round \d+: {re.escape(message)}", failure), failure
+
+
+def test_selfcheck_command_reports_an_injected_fault(monkeypatch):
+    _wrong_oracle(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["selfcheck", "--rounds", "2", "--samples", "7"])
+    assert code == EXIT_CONTRADICTS
+    payload = json.loads(out.getvalue())
+    assert payload["ok"] is False
+    results = {result["name"]: result for result in payload["results"]}
+    oracle = results.pop("rank-oracle")
+    assert oracle["ok"] is False and len(oracle["failures"]) == 5
+    assert all(failure.startswith("round ") for failure in oracle["failures"])
+    assert all(result["ok"] for result in results.values())
 
 
 def test_run_all_aggregates_five_suites():

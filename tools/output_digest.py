@@ -1,0 +1,122 @@
+"""Digest the canonical outputs of tanfam, one sha256 per case.
+
+Runs tanfam.cli.main in-process on a fixed list of calls (classify at
+the default order and at --order 1, verify for every kind, envelope and
+both sweep modes at --grid 64), each in JSON and in text, and builds the
+exact tangent spaces of three germs.  A CLI case hashes its exit code,
+stdout, stderr and every file it wrote; each call runs in a fresh
+temporary directory, so relative output paths read the same on every
+run.  A library case hashes the canonical matrix and the provenance of
+one space.  selfcheck is left out: its payload holds timings.
+
+Usage: PYTHONPATH=<tree>/src python tools/output_digest.py
+Prints one "sha256  case" line per case.  Run it against two trees' src
+and diff the outputs to see which cases a change moves.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Iterator
+
+FAMILIES = {
+    "TypeI": '{"u": "1 t^2"}',
+    "A1Plus": '{"k0": "0", "k1": "1", "alpha": "1/2"}',
+    "A1Minus": '{"u": "1 xi t^2"}',
+    "HBranch": '{"k0": "0", "k1": "3", "alpha": "2"}',
+    "ABranch": '{"k0": "0", "k1": "3", "alpha": "1"}',
+    "IndeterminateAtOrder": '{"u": "1 t^4"}',
+    "NotTangential": '{"u": "1 t"}',
+}
+
+
+def cli_calls() -> Iterator[list[str]]:
+    calls = [["classify", "--input", raw] for raw in FAMILIES.values()]
+    calls += [call + ["--order", "1"] for call in calls]
+    calls += [
+        ["verify", "--kind", "fold-sufficiency"],
+        ["verify", "--kind", "ideal-block", "--a", "1/5"],
+        ["verify", "--kind", "miniversal", "--a", "1/5", "--b", "0"],
+        ["envelope", "--input", FAMILIES["A1Minus"], "--grid", "64"],
+        ["sweep", "--a", "1/5", "--grid", "64"],
+        ["sweep", "--a", "1/5", "--grid", "64", "--mode", "versal", "--mu1", "0.1"],
+    ]
+    for call in calls:
+        for fmt in ("json", "text"):
+            yield call + ["--format", fmt]
+
+
+def _feed(digest, *chunks: bytes) -> None:
+    # Length-prefixed, so no two different sequences of chunks collide.
+    for chunk in chunks:
+        digest.update(b"%d:" % len(chunk) + chunk)
+
+
+def cli_digest(argv: list[str]) -> str:
+    """sha256 over the exit code, stdout, stderr and written files of one call."""
+    from tanfam.cli import main
+
+    digest = hashlib.sha256()
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's own exits
+                    code = exc.code
+            _feed(digest, str(code).encode(), out.getvalue().encode(), err.getvalue().encode())
+            for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+                _feed(digest, path.as_posix().encode(), path.read_bytes())
+        finally:
+            os.chdir(cwd)
+    return digest.hexdigest()
+
+
+def library_spaces() -> Iterator[tuple[str, object]]:
+    from tanfam import (
+        KIND_FIBERED,
+        KIND_FULL,
+        build_extended_tangent_space,
+        build_reduced_tangent_space,
+        double_umbrella_form,
+        family_from_invariants,
+        fold_form,
+        legendrian_parameterization,
+    )
+
+    germs = {
+        "fold": fold_form(),
+        "umbrella a=1/5 b=1": double_umbrella_form("1/5", "1"),
+        "A-branch lift": legendrian_parameterization(family_from_invariants(0, 3, 1)),
+    }
+    for name, germ in germs.items():
+        for kind in (KIND_FIBERED, KIND_FULL):
+            yield f"{kind}-extended {name}", build_extended_tangent_space(germ, kind=kind)
+        yield f"reduced {name}", build_reduced_tangent_space(germ)
+
+
+def library_digest(basis) -> str:
+    """sha256 over the canonical matrix and the provenance of one space."""
+    record = {"matrix": basis.canonical_matrix(), "provenance": list(basis.provenance)}
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def digest_lines() -> Iterator[str]:
+    for argv in cli_calls():
+        yield f"{cli_digest(argv)}  tanfam {' '.join(argv)}"
+    for name, basis in library_spaces():
+        yield f"{library_digest(basis)}  {name}"
+
+
+if __name__ == "__main__":
+    for line in digest_lines():
+        print(line, flush=True)
