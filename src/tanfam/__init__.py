@@ -12,9 +12,12 @@ SVG/OBJ artifacts.  The cli module exposes both through subcommands.
 Importing the package loads the exact layer only.  ``tanfam.geometry``
 and ``tanfam.emit`` are registered as lazy modules: their bodies, and
 numpy with them, run on the first attribute access, whether through the
-module or through a float-layer name on the package.  So code that only
-classifies or verifies never imports numpy.  ``tanfam.selfcheck`` is
-lazy in the same way, so only the self-check suites load it.
+module or through a float-layer name on the package.  A name of
+``__all__`` that the package has not imported resolves from geometry,
+or else from emit; any other name raises AttributeError and loads
+nothing.  So code that only classifies or verifies never imports numpy.
+``tanfam.selfcheck`` is lazy in the same way, so only the self-check
+suites load it.
 """
 
 import importlib.util
@@ -80,44 +83,19 @@ geometry = _lazy_module("tanfam.geometry")
 emit = _lazy_module("tanfam.emit")
 selfcheck = _lazy_module("tanfam.selfcheck")
 
-# public name -> the float-layer module that defines it
-_FLOAT_NAMES = {
-    **dict.fromkeys(
-        (
-            "DeformationParams",
-            "GridSpec",
-            "LiftedSurface",
-            "PlanarMap",
-            "PlaneCurveSet",
-            "SweepFrame",
-            "analyze_deformation",
-            "apply_deformation",
-            "count_cusps",
-            "default_sweep_lambdas",
-            "deformation_sweep",
-            "envelope_curves",
-            "fit_cubic_coefficient",
-            "jacobian_det",
-            "legendrian_lift",
-            "trace_criminant",
-        ),
-        geometry,
-    ),
-    **dict.fromkeys(("emit_obj", "emit_svg", "emit_sweep"), emit),
-}
-
 
 def __getattr__(name: str):
-    module = _FLOAT_NAMES.get(name)
-    if module is None:
+    """A float-layer name of __all__, taken from geometry or else from emit;
+    any other name loads nothing."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(module, name)
+    value = getattr(geometry if hasattr(geometry, name) else emit, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_FLOAT_NAMES})
+    return sorted({*globals(), *__all__})
 
 
 __version__ = "0.1.0"

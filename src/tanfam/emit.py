@@ -208,33 +208,30 @@ def emit_obj(surface: LiftedSurface, path) -> Path:
 
 
 _FRAME_NAME = re.compile(r"frame-[0-9]+\.json")
+# The keys of a frame's JSON that its manifest entry repeats, in order.
+_MANIFEST_KEYS = ("params", "mode", "cusps", "branches")
 
 
 def emit_sweep(frames: Sequence[SweepFrame], directory) -> dict:
     """Write one JSON file per frame, frame-000.json on, plus a manifest.
 
-    The manifest carries each frame's file name, deformation parameters
-    and headline counts; the frame files hold the full payloads.  Both
-    levels use sorted-key JSON so reruns are byte-identical.  In a reused
-    directory, frame files (frame-<digits>.json) that this sweep did not
-    write are deleted, so the directory lists exactly the manifest's
-    frames; every other file stays.
+    The manifest carries each frame's file name and repeats four keys of
+    the frame's JSON: its deformation parameters ("params", "mode") and
+    headline counts ("cusps", "branches"); the frame files hold the full
+    payloads.  Both levels use sorted-key JSON so reruns are
+    byte-identical.  In a reused directory, frame files
+    (frame-<digits>.json) that this sweep did not write are deleted, so
+    the directory lists exactly the manifest's frames; every other file
+    stays.
     """
     base = _checked_path(directory)
     base.mkdir(parents=True, exist_ok=True)
     entries = []
     for index, frame in enumerate(frames):
         name = f"frame-{index:03d}.json"
-        (base / name).write_text(_json_text(frame.to_json()), encoding="utf-8")
-        entries.append(
-            {
-                "file": name,
-                "params": frame.params.to_json(),
-                "mode": frame.mode,
-                "cusps": frame.cusp_count,
-                "branches": frame.criminant.branch_count,
-            }
-        )
+        payload = frame.to_json()
+        (base / name).write_text(_json_text(payload), encoding="utf-8")
+        entries.append({"file": name, **{key: payload[key] for key in _MANIFEST_KEYS}})
     manifest = {"count": len(entries), "frames": entries}
     (base / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     written = {entry["file"] for entry in entries}

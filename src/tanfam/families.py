@@ -69,13 +69,22 @@ class FamilyInvariants(NamedTuple):
     alpha: Fraction
 
 
+# The monomials of u at t^2, t^2 xi and t^3, which carry k0, k1 and alpha.
+_STEERING = {"k0": (0, 2), "k1": (1, 2), "alpha": (0, 3)}
+
+
 class FamilyGerm(NamedTuple):
-    """Adapted tangential-family data: u plus its three steering coefficients."""
+    """Adapted tangential-family data: the jet u alone.
+
+    The three steering coefficients are read off u on demand (k0 at t^2,
+    k1 at t^2 xi, alpha at t^3), so they cannot disagree with it.
+    """
 
     u: TruncatedPoly
-    k0: Fraction
-    k1: Fraction
-    alpha: Fraction
+
+    k0 = property(lambda self: self.u.coefficient(_STEERING["k0"]))
+    k1 = property(lambda self: self.u.coefficient(_STEERING["k1"]))
+    alpha = property(lambda self: self.u.coefficient(_STEERING["alpha"]))
 
     @property
     def invariants(self) -> FamilyInvariants:
@@ -87,7 +96,7 @@ class FamilyGerm(NamedTuple):
 
 
 def extract_invariants(u: TruncatedPoly) -> FamilyGerm:
-    """Validate tangency and read off (k0, k1, alpha) from the jet of u."""
+    """Validate that u is a tangential jet in (xi, t) and wrap it as a FamilyGerm."""
     if u.variables != SOURCE_VARS:
         raise ValueError(f"u must be a jet in {SOURCE_VARS}, got {u.variables}")
     for (exp_xi, exp_t), _ in u.terms():
@@ -96,12 +105,7 @@ def extract_invariants(u: TruncatedPoly) -> FamilyGerm:
                 f"term {'xi^' + str(exp_xi) if exp_xi else ''} t^{exp_t} of u has "
                 "t-degree < 2; the family is not tangent to the axis"
             )
-    return FamilyGerm(
-        u=u,
-        k0=u.coefficient((0, 2)),
-        k1=u.coefficient((1, 2)),
-        alpha=u.coefficient((0, 3)),
-    )
+    return FamilyGerm(u)
 
 
 def family_from_invariants(
@@ -119,7 +123,7 @@ def family_from_invariants(
     rather than being truncated away.
     """
     steering = {}
-    for md, name, raw in (((0, 2), "k0", k0), ((1, 2), "k1", k1), ((0, 3), "alpha", alpha)):
+    for (name, md), raw in zip(_STEERING.items(), (k0, k1, alpha)):
         try:
             steering[md] = value = as_fraction(raw)
         except (TypeError, ValueError) as exc:
@@ -133,7 +137,7 @@ def family_from_invariants(
         if not isinstance(higher, TruncatedPoly):
             higher = TruncatedPoly.from_text(SOURCE_VARS, higher, cap)
         extract_invariants(higher)  # reuses the tangency validation
-        for md in ((0, 2), (1, 2), (0, 3)):
+        for md in _STEERING.values():
             if higher.coefficient(md) != 0:
                 raise ValueError(
                     "the higher-order tail must not touch the t^2, t^3, t^2 xi "
@@ -325,12 +329,13 @@ def classify(g: FamilyGerm, order: int | None = None) -> SingularityLabel:
     """
     germ = legendrian_parameterization(g)
     order = resolve_order(germ, order)
-    if g.k0 != 0:
+    k0, k1, alpha = invariants = g.invariants  # read once: each read builds Fractions
+    if k0 != 0:
         return SingularityLabel(variant="TypeI", germ=germ)
-    if g.k1 == 0 or g.k1 == g.alpha:
+    if k1 == 0 or k1 == alpha:
         return SingularityLabel(variant="IndeterminateAtOrder", order=order, germ=germ)
-    a = invariant_a(g)
-    family = "H" if 2 * g.k1 == 3 * g.alpha else "A" if g.k1 == 3 * g.alpha else None
+    a = invariant_a(invariants)
+    family = "H" if 2 * k1 == 3 * alpha else "A" if k1 == 3 * alpha else None
     variant = f"{family}Branch" if family else "A1Plus" if a > 0 else "A1Minus"
     return SingularityLabel(
         variant, a=a, projection_form_applicable=_normal_form_applies(a),

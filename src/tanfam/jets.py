@@ -273,6 +273,8 @@ class TruncatedPoly:
         variables = tuple(variables)
         if not variables:
             raise ValueError("need at least one variable")
+        if len({_VAR_ALIASES.get(v, v) for v in variables}) < len(variables):
+            raise ValueError(f"variables {variables} name one variable twice")
         if cap < 1:
             raise ValueError(f"degree cap must be >= 1, got {cap}")
         table: dict[Exponents, Fraction] = {}
@@ -534,16 +536,18 @@ def compose(g: TruncatedPoly, components: "Sequence[TruncatedPoly] | MapGerm") -
     return _canonical(base.variables, cap, nonzero, g._den * scale**top)
 
 
-class MapGerm:
+class MapGerm(tuple):
     """An ordered pair or triple of source jets vanishing at the origin.
 
     Models a map germ (R^2, 0) -> (R^2, 0) or (R^2, 0) -> (R^3, 0); all
-    components share the same variables and cap.
+    components share the same variables and cap.  It is the tuple of its
+    jets, checked on construction: it equals, hashes and slices like
+    that plain tuple.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ()
 
-    def __init__(self, components: Sequence[TruncatedPoly]):
+    def __new__(cls, components: Sequence[TruncatedPoly]) -> "MapGerm":
         comps = tuple(components)
         if len(comps) not in (2, 3):
             raise ValueError(f"a map germ has 2 or 3 components, got {len(comps)}")
@@ -552,49 +556,22 @@ class MapGerm:
             first._check_compatible(comp)
             if comp.constant_term() != 0:
                 raise ValueError("map germ components must vanish at the origin")
-        self._components = comps
+        return super().__new__(cls, comps)
 
-    @property
-    def components(self) -> tuple[TruncatedPoly, ...]:
-        return self._components
-
-    @property
-    def arity(self) -> int:
-        return len(self._components)
-
-    @property
-    def cap(self) -> int:
-        return self._components[0].cap
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self._components[0].variables
+    # The germ is already the tuple of its components; all share cap and variables.
+    components = property(lambda self: self)
+    arity = property(len)
+    cap = property(lambda self: self[0].cap)
+    variables = property(lambda self: self[0].variables)
 
     def planar_projection(self) -> "MapGerm":
         """The first two components, i.e. the germ composed with (x, y, z) -> (x, y)."""
         if self.arity == 2:
             return self
-        return MapGerm(self._components[:2])
+        return MapGerm(self[:2])
 
     def to_texts(self) -> tuple[str, ...]:
-        return tuple(c.to_text() for c in self._components)
-
-    def __iter__(self) -> Iterator[TruncatedPoly]:
-        return iter(self._components)
-
-    def __getitem__(self, index: int) -> TruncatedPoly:
-        return self._components[index]
-
-    def __len__(self) -> int:
-        return len(self._components)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MapGerm):
-            return NotImplemented
-        return self._components == other._components
-
-    def __hash__(self) -> int:
-        return hash(self._components)
+        return tuple(c.to_text() for c in self)
 
     def __repr__(self) -> str:
         return f"MapGerm{self.to_texts()!r}"

@@ -1,11 +1,13 @@
 """Family classification: invariants, the modulus a, branch index probes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from tanfam.families import (
     BranchIndex,
+    FamilyGerm,
     FamilyInvariants,
     NotTangentialError,
     classify,
@@ -36,6 +38,51 @@ def test_extract_invariants_reads_steering_coefficients():
     g = extract_invariants(u("5 t^2 + 7 xi t^2 + 11 t^3 + 1/3 t^4"))
     assert g.invariants == FamilyInvariants(Fraction(5), Fraction(7), Fraction(11))
     assert g.cap == 8
+
+
+def test_family_germ_takes_u_alone():
+    with pytest.raises(TypeError):
+        FamilyGerm(u=u("1 xi t^2 + 1 t^3"), k0=0, k1=1, alpha=Fraction(1, 2))
+    with pytest.raises(TypeError):
+        FamilyGerm(u("1 xi t^2"), Fraction(0))
+
+
+def tangential_u(rng, cap):
+    """A seeded u with every term of t-degree >= 2: small steering
+    coefficients, often zero or equal, plus a tail up to the cap."""
+    steering = ((0, 2), (1, 2), (0, 3))
+    coeffs = {md: rng.choice([0, 0, 1, -1, 2, 3, Fraction(1, 2)]) for md in steering}
+    for _ in range(rng.randint(0, 5)):
+        exp_t = rng.randint(2, cap)
+        md = (rng.randint(0, cap - exp_t), exp_t)
+        coeffs.setdefault(md, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    return TruncatedPoly(SOURCE_VARS, cap, coeffs)
+
+
+TANGENTIAL_US = [
+    u("1 xi t^2 + 1 t^3", 4),
+    u("1 xi t^2 + 1 t^3 + 1/2 xi^2 t^4 + 2 t^7", 10),
+    u("1 xi t^2 + 1/2 t^3 + 3 xi t^5", 8),
+] + [tangential_u(random.Random(seed), 4 + seed % 7) for seed in range(14)]
+
+
+@pytest.mark.parametrize(
+    "jet", TANGENTIAL_US, ids=[f"{i}-cap{jet.cap}" for i, jet in enumerate(TANGENTIAL_US)]
+)
+def test_a_family_record_reads_its_invariants_off_u(jet):
+    germ = FamilyGerm(jet)
+    assert germ.invariants == (
+        jet.coefficient((0, 2)),
+        jet.coefficient((1, 2)),
+        jet.coefficient((0, 3)),
+    )
+    assert classify(germ).to_json() == classify(extract_invariants(jet)).to_json()
+
+
+def test_the_record_of_xi_t2_plus_t3_is_indeterminate():
+    # k1 = alpha = 1: no record can claim other steering coefficients for this u
+    label = classify(FamilyGerm(u("1 xi t^2 + 1 t^3", 4)))
+    assert label.variant == "IndeterminateAtOrder" and label.a is None
 
 
 def test_extract_invariants_rejects_low_t_degree():

@@ -145,6 +145,14 @@ def test_constructor_validates():
         TruncatedPoly(SOURCE_VARS, 4, {(1, 0): 0.5})
 
 
+@pytest.mark.parametrize("variables", [("x", "x"), ("xi", "ξ"), ("t", "xi", "τ")])
+def test_constructor_refuses_a_repeated_variable(variables):
+    with pytest.raises(ValueError, match="name one variable twice"):
+        TruncatedPoly(variables, 3)
+    with pytest.raises(ValueError, match="name one variable twice"):
+        TruncatedPoly.variable(variables, variables[0], 3)
+
+
 def test_constructor_drops_zero_and_overcap_terms():
     q = TruncatedPoly(SOURCE_VARS, 3, {(0, 0): 0, (4, 0): 1, (1, 1): 2})
     assert q.terms() == [((1, 1), Fraction(2))]
@@ -474,6 +482,37 @@ def test_map_germ_properties():
     assert germ.to_texts() == ("1 xi", "1 t^2", "1 t")
     assert list(germ) == [germ[0], germ[1], germ[2]]
     assert len(germ) == 3
+
+
+def test_map_germ_is_the_checked_tuple_of_its_jets():
+    jets = (p("1 xi"), p("1 t^2"), p("1 t"))
+    germ = MapGerm(jets)
+    assert isinstance(germ, tuple)
+    assert germ == jets and jets == germ and hash(germ) == hash(jets)
+    assert germ == MapGerm(list(jets)) and germ != MapGerm(jets[:2])
+    assert len(germ) == 3 and tuple(iter(germ)) == jets and germ[-1] == jets[2]
+    assert type(germ[:2]) is tuple and germ[:2] == jets[:2]
+    assert germ.components == jets and germ.arity == 3
+    assert repr(germ) == "MapGerm('1 xi', '1 t^2', '1 t')"
+
+
+@pytest.mark.parametrize(
+    "jets, message",
+    [
+        ((p("1 xi"),), "a map germ has 2 or 3 components, got 1"),
+        ((p("1 xi"),) * 4, "a map germ has 2 or 3 components, got 4"),
+        ((p("1 + 1 xi"), p("1 t")), "map germ components must vanish at the origin"),
+        ((p("1 xi"), p("1 t", cap=5)), "degree caps differ: 8 vs 5"),
+        (
+            (p("1 xi"), TruncatedPoly.from_text(("xi", "s"), "1 s")),
+            "variable sets differ: ('xi', 't') vs ('xi', 's')",
+        ),
+    ],
+)
+def test_map_germ_validation_messages(jets, message):
+    with pytest.raises(ValueError) as info:
+        MapGerm(jets)
+    assert str(info.value) == message
 
 
 def test_map_germ_planar_projection():

@@ -176,6 +176,31 @@ def test_unknown_name_is_an_attribute_error():
         tanfam.no_such_name  # noqa: B018
 
 
+def test_an_unknown_name_loads_nothing():
+    result = fresh(
+        "import json, sys, tanfam\n"
+        "try:\n"
+        "    tanfam.no_such_name\n"
+        "    error = None\n"
+        "except AttributeError as exc:\n"
+        "    error = str(exc)\n"
+        "numpy_after_get = 'numpy' in sys.modules\n"
+        "has = hasattr(tanfam, 'no_such_name')\n"
+        "print(json.dumps({\n"
+        "    'error': error, 'numpy_after_get': numpy_after_get, 'has': has,\n"
+        "    'numpy_after_has': 'numpy' in sys.modules,\n"
+        "    'undir': sorted(set(tanfam.__all__) - set(dir(tanfam))),\n"
+        "}))"
+    )
+    assert result == {
+        "error": "module 'tanfam' has no attribute 'no_such_name'",
+        "numpy_after_get": False,
+        "has": False,
+        "numpy_after_has": False,
+        "undir": [],
+    }
+
+
 # ---------------------------------------------------------------------------
 # What else a fresh process loads
 
@@ -236,12 +261,7 @@ def _germ():
 RECORDS = [
     (
         FamilyGerm,
-        {
-            "u": TruncatedPoly.from_text(SOURCE_VARS, "1 xi t^2 + 1/2 t^3", 4),
-            "k0": Fraction(0),
-            "k1": Fraction(1),
-            "alpha": Fraction(1, 2),
-        },
+        {"u": TruncatedPoly.from_text(SOURCE_VARS, "1 xi t^2 + 1/2 t^3", 4)},
         None,
     ),
     (
@@ -328,8 +348,12 @@ def test_record_defaults():
 
 def test_family_germ_properties():
     germ = FamilyGerm(**RECORDS[0][1])
+    assert (germ.k0, germ.k1, germ.alpha) == (Fraction(0), Fraction(1), Fraction(1, 2))
     assert germ.invariants == (Fraction(0), Fraction(1), Fraction(1, 2))
     assert germ.cap == 4
+    with pytest.raises(AttributeError):
+        germ.k0 = Fraction(1)
+    assert germ.k0 == 0
 
 
 @pytest.mark.parametrize("holds", [True, False])

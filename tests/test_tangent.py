@@ -224,9 +224,7 @@ def text_germ(texts, cap, at_origin=True):
     comps = [TruncatedPoly.from_text(SOURCE_VARS, text, cap) for text in texts]
     if at_origin:
         return MapGerm(comps)
-    germ = object.__new__(MapGerm)
-    germ._components = tuple(comps)
-    return germ
+    return tuple.__new__(MapGerm, comps)
 
 
 # every component has a constant term, so its lowest degree is 0 and no

@@ -1,8 +1,10 @@
 """Digest the canonical outputs of tanfam, one sha256 per case.
 
 Runs tanfam.cli.main in-process on a fixed list of calls (classify at
-the default order and at --order 1, verify for every kind, envelope and
-both sweep modes at --grid 64), each in JSON and in text, and builds the
+the default order and at --order 1, classify of a family with a higher
+tail and of one given by its u, verify for every kind, envelope of a
+family given by u and of one given by k0, k1 and alpha, and both sweep
+modes at --grid 64), each in JSON and in text, and builds the
 exact tangent spaces of three germs.  A CLI case hashes its exit code,
 stdout, stderr and every file it wrote; each call runs in a fresh
 temporary directory, so relative output paths read the same on every
@@ -34,16 +36,24 @@ FAMILIES = {
     "IndeterminateAtOrder": '{"u": "1 t^4"}',
     "NotTangential": '{"u": "1 t"}',
 }
+# The other ways a family record is built: invariants with a tail, and
+# the u of a second-type family.
+MORE_FAMILIES = (
+    '{"k0": "0", "k1": "1", "alpha": "1/2", "higher": "1/3 t^4 + -2 xi^2 t^3"}',
+    '{"u": "1 xi t^2 + 1/2 t^3"}',
+)
 
 
 def cli_calls() -> Iterator[list[str]]:
     calls = [["classify", "--input", raw] for raw in FAMILIES.values()]
     calls += [call + ["--order", "1"] for call in calls]
+    calls += [["classify", "--input", raw] for raw in MORE_FAMILIES]
     calls += [
         ["verify", "--kind", "fold-sufficiency"],
         ["verify", "--kind", "ideal-block", "--a", "1/5"],
         ["verify", "--kind", "miniversal", "--a", "1/5", "--b", "0"],
         ["envelope", "--input", FAMILIES["A1Minus"], "--grid", "64"],
+        ["envelope", "--input", FAMILIES["A1Plus"], "--grid", "64"],
         ["sweep", "--a", "1/5", "--grid", "64"],
         ["sweep", "--a", "1/5", "--grid", "64", "--mode", "versal", "--mu1", "0.1"],
     ]
