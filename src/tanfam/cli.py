@@ -79,8 +79,8 @@ MAX_GRID_RESOLUTION = 4096
 
 # Largest --cap accepted.  Time, not memory, limits it: verify
 # --kind ideal-block at the deepest order (cap - 1, a = -37/11,
-# b = 13/7) takes about 5 s at cap 28 as a fresh process on a 2-core
-# Xeon, and its build and block check about 24 s at cap 32 through the
+# b = 13/7) takes about 2.6 s at cap 28 as a fresh process on a 2-core
+# Xeon, and its build and block check about 11 s at cap 32 through the
 # library (the README's --cap paragraph has the measured figures).
 MAX_CAP = 28
 

@@ -175,9 +175,10 @@ def legendrian_parameterization(g: FamilyGerm) -> MapGerm:
     Constructs (xi + t, u, du/dt) (position, height, slope) and applies
     the shift (xi, t) -> (xi - t, t), carrying every higher-order term of
     u through exactly.  The third component is trustworthy one degree
-    below the cap, like every derivative.
+    below the cap, like every derivative.  A u that extract_invariants
+    refuses is refused here too, however the FamilyGerm was made.
     """
-    u = g.u
+    u = extract_invariants(g.u).u
     cap = u.cap
     xi = TruncatedPoly.variable(SOURCE_VARS, "xi", cap)
     t = TruncatedPoly.variable(SOURCE_VARS, "t", cap)

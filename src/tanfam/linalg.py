@@ -16,19 +16,24 @@ and forward-reduced against the existing pivots, each row's pivot being
 its lowest column.  Rank and membership are available at any point.
 The reduced echelon row with pivot j depends only on the echelon rows
 whose pivots lie above j, so reduced_rows(start) reads only the rows
-with pivot >= start, once each, from the last pivot up: a copy of each
-is eliminated against the already reduced rows of the pivot columns it
-touches, then made primitive.  Those rows are zero in every other pivot
-column, so no step brings in a pivot column, and a reader of the unit
-rows of a trailing block of columns pays for that block alone.  One
-kernel, _eliminate, does every elimination step, forward and back, in
-place on a row its caller owns; stored rows are never changed, so
-copy() may share them.  The space caches the reduced rows of the lowest
-start read so far, tagged with its rank: rows are only ever added, so
-an unchanged rank means unchanged rows, and that cache answers every
-start at or above its own.  The cache is the one reduced form a space
-keeps; canonical_matrix() is reduced_rows(0) written out densely, and
-copy() carries the cache along.
+with pivot >= start, once each, from the last pivot up, keeping the set
+of columns whose reduced row is a unit vector.  A stored row R with
+pivot j whose other entries all lie in that set reduces to {j: 1}, with
+no copy and no arithmetic: R - sum of R[c] e_c over those columns c is
+R[j] e_j.  Every other row is copied, eliminated against the already
+reduced rows of the pivot columns it touches, and made primitive, and
+joins the set when one entry is left.  Reduced rows are zero in every
+other pivot column, so no step brings in a pivot column, and a reader
+of a trailing block of columns pays for that block alone.  One kernel,
+_eliminate, does every elimination step, forward and back, in place on
+a row its caller owns; stored rows are never changed, so copy() may
+share them.  The space caches the reduced rows of the lowest start
+read so far, tagged with its rank: rows are only ever added, so an
+unchanged rank means unchanged rows, and that cache answers every
+start at or above its own.  The cache is the one reduced
+form a space keeps, and copy() carries it along.  canonical_matrix()
+and unit_columns() read its rows in place; only reduced_rows() hands
+out copies of them.
 """
 
 from __future__ import annotations
@@ -129,25 +134,46 @@ class RowSpace:
 
     def reduced_rows(self, start: int = 0) -> dict[int, SparseRow]:
         """The rows of the unique reduced echelon form whose pivot is
-        >= start, primitive and sparse, keyed by pivot in column order."""
+        >= start, primitive and sparse, keyed by pivot in column order.
+        The rows are copies; the cache stays the space's own."""
+        return {col: dict(row) for col, row in self._reduced_form(start).items() if col >= start}
+
+    def unit_columns(self, start: int = 0) -> frozenset[int]:
+        """Columns j >= start whose reduced row is the unit vector e_j."""
+        rows = self._reduced_form(start)
+        return frozenset(col for col, row in rows.items() if col >= start and len(row) == 1)
+
+    def _reduced_form(self, start: int) -> dict[int, SparseRow]:
+        """The cached reduced rows, of a start at most start,
+        back-eliminated first if the cache cannot answer.  They are the
+        cache itself: callers read them and never change them."""
         cached = self._reduced
         if cached is None or cached[0] != self.rank or start < cached[1]:
             cached = self._reduced = (self.rank, start, self._back_eliminate(start))
-        return {col: dict(row) for col, row in cached[2].items() if col >= start}
+        return cached[2]
 
     def _back_eliminate(self, start: int) -> dict[int, SparseRow]:
         reduced: dict[int, SparseRow] = {}
+        units: set[int] = set()
         for col in sorted((c for c in self._rows if c >= start), reverse=True):
-            row = dict(self._rows[col])
+            stored = self._rows[col]
+            units.add(col)  # R's own column: the test then asks about its others
+            if units.issuperset(stored):
+                # R - sum of R[c] e_c over its other columns is R[col] e_col
+                reduced[col] = {col: 1}
+                continue
+            row = dict(stored)
             for c in [c for c in row if c in reduced]:
                 _eliminate(row, reduced[c], c)
-            reduced[col] = primitive_row(row)
+            reduced[col] = row = primitive_row(row)
+            if len(row) != 1:
+                units.discard(col)  # an entry in a non-pivot column is left
         return dict(reversed(reduced.items()))
 
     def canonical_matrix(self) -> list[list[int]]:
         """Unique reduced echelon form: back-eliminated, primitive, dense rows."""
         dense = []
-        for row in self.reduced_rows().values():
+        for row in self._reduced_form(0).values():
             out = [0] * self.width
             for j, value in row.items():
                 out[j] = value

@@ -50,12 +50,17 @@ tag.
 Membership has one primitive, RowSpace.contains.  Unit vectors need no
 call at all: e_j lies in the span exactly when it is a row of the
 reduced echelon form, so block checks and branch probes read the set of
-such columns (absorbed_columns) from RowSpace.reduced_rows, starting at
-the block's first column.  The row space caches that reduced form, the
-only one a basis has; canonical_matrix writes the same cache out
-densely.  Membership modulo per-slot degree caps is membership in a
-copy of the space with the unit rows of the truncated columns added,
-and the miniversality check adds its complement rows to such a copy.
+such columns (absorbed_columns) from RowSpace.unit_columns, starting at
+the block's first column.  The back-elimination that produces the
+reduced form keeps the unit columns found so far, and a stored row
+whose other entries all lie in them reduces to a unit row with no
+arithmetic.  The row space caches that reduced form, the only one a
+basis has, and its internal readers share the cache: canonical_matrix
+writes it out densely and absorbed_columns picks out its unit rows,
+neither copying a row.  Membership modulo per-slot degree caps is
+membership in a copy of the space with the unit rows of the truncated
+columns added, and the miniversality check adds its complement rows to
+such a copy.
 TangentSpaceBasis is the one place that knows the column layout and
 the row space: it builds the (slot, monomial) -> column index once per
 basis, reads every generator row through it, flatten_triple reads
@@ -261,11 +266,11 @@ class TangentSpaceBasis:
         e_j lies in the span exactly when it is a row of the reduced
         echelon form: its one nonzero entry sits in at most one pivot
         column, so it is a multiple of that pivot's primitive row.  The
-        rows are read from RowSpace.reduced_rows(start), which
+        columns are read from RowSpace.unit_columns(start), which
         back-eliminates from column start on only and caches the rows of
         the lowest start read, canonical_matrix included.
         """
-        return frozenset(j for j, row in self._space.reduced_rows(start).items() if len(row) == 1)
+        return self._space.unit_columns(start)
 
     def _enlarged(
         self, caps: Sequence[int] | None = None, triples: Iterable[JetTriple] = ()

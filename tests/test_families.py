@@ -94,6 +94,17 @@ def test_extract_invariants_rejects_low_t_degree():
         extract_invariants(TruncatedPoly.from_text(("x", "y"), "1 y^2"))
 
 
+def test_a_record_made_around_the_check_is_refused_by_the_lift():
+    # xi^2 t has t-degree 1; its steering coefficients alone read as A1Plus, a = 1/4
+    jet = u("1 xi^2 t + 1 xi t^2 + 1/2 t^3")
+    with pytest.raises(NotTangentialError):
+        extract_invariants(jet)
+    with pytest.raises(NotTangentialError):
+        legendrian_parameterization(FamilyGerm(jet))
+    with pytest.raises(NotTangentialError):
+        classify(FamilyGerm(jet))
+
+
 def test_family_from_invariants_with_tail():
     g = family_from_invariants(0, 3, 2, higher="1/3 t^4 + -2 xi^2 t^3")
     assert g.k0 == 0 and g.k1 == 3 and g.alpha == 2

@@ -1,11 +1,14 @@
 """Fraction-free row reduction on sparse rows: primitive rows, rank, membership."""
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tanfam.linalg as linalg
 from tanfam.linalg import RowSpace, primitive_row
 
 
@@ -214,3 +217,127 @@ def test_reduced_rows_read_before_rows_are_added_match_a_fresh_space(case):
     assert _reduced_forms(target) == _reduced_forms(_space_of(width, rows + more))
     if on_copy:
         assert _reduced_forms(space) == _reduced_forms(_space_of(width, rows))
+
+
+def _gauss_jordan(rows, width):
+    """Reduced echelon rows of the span by dense Fraction elimination of
+    every row, each made primitive, keyed by pivot."""
+    matrix = [[Fraction(row.get(j, 0)) for j in range(width)] for row in rows]
+    rank = 0
+    for col in range(width):
+        pick = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pick is None:
+            continue
+        matrix[rank], matrix[pick] = matrix[pick], matrix[rank]
+        lead = matrix[rank][col]
+        matrix[rank] = [value / lead for value in matrix[rank]]
+        for i, row in enumerate(matrix):
+            if i != rank and row[col]:
+                factor = row[col]
+                matrix[i] = [a - factor * b for a, b in zip(row, matrix[rank])]
+        rank += 1
+    reduced = {}
+    for row in matrix[:rank]:
+        denom = lcm(*(value.denominator for value in row))
+        ints = [int(value * denom) for value in row]
+        common = gcd(*ints)
+        sparse = {j: value // common for j, value in enumerate(ints) if value}
+        reduced[min(sparse)] = sparse
+    return reduced
+
+
+def _unit_heavy_rows(rng):
+    """Width and integer rows of a random space whose reduced rows are
+    mostly unit vectors; the others have entries in non-pivot columns.
+    Each row mixes its target reduced row with later ones, so the
+    stored echelon rows reach their reduced rows by cancellation."""
+    width = rng.randint(6, 40)
+    pivots = sorted(rng.sample(range(width), rng.randint(1, width - 1)))
+    free = [c for c in range(width) if c not in pivots]
+    targets = {}
+    for p in pivots:
+        target = {p: 1}
+        later = [c for c in free if c > p]
+        if later and rng.random() < 0.2:
+            for c in rng.sample(later, rng.randint(1, min(3, len(later)))):
+                target[c] = rng.choice([-3, -2, -1, 1, 2, 5])
+        targets[p] = target
+
+    def mix(p):
+        row = {c: rng.choice([1, 2, -3]) * v for c, v in targets[p].items()}
+        for q in rng.sample(pivots, min(3, len(pivots))):
+            if q > p:
+                m = rng.randint(-4, 4)
+                for c, v in targets[q].items():
+                    row[c] = row.get(c, 0) + m * v
+        return row
+
+    rows = [mix(p) for p in pivots]
+    rows += [mix(rng.choice(pivots)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return width, rows
+
+
+def test_unit_rows_and_reduced_rows_match_full_elimination_from_every_start():
+    seen = {"unit at once": 0, "unit by cancellation": 0, "non-pivot entries": 0}
+    for seed in range(150):
+        width, rows = _unit_heavy_rows(random.Random(seed))
+        want = _gauss_jordan(rows, width)
+        units = {col for col, row in want.items() if len(row) == 1}
+        space = _space_of(width, rows)
+        for col, stored in space._rows.items():
+            if len(want[col]) > 1:
+                seen["non-pivot entries"] += 1
+            elif units.issuperset(stored):
+                seen["unit at once"] += 1
+            else:
+                seen["unit by cancellation"] += 1
+        # descending starts back-eliminate afresh each time; the second
+        # pass reads them all from the cache of start 0
+        for _ in range(2):
+            for start in range(width, -1, -1):
+                case = (seed, start)
+                assert space.reduced_rows(start) == {
+                    col: row for col, row in want.items() if col >= start
+                }, case
+                assert space.unit_columns(start) == {col for col in units if col >= start}, case
+        assert space.canonical_matrix() == [
+            [row.get(j, 0) for j in range(width)] for row in want.values()
+        ], seed
+        assert (space.rank, sorted(want)) == (len(want), space.pivot_columns())
+    assert min(seen.values()) >= 20, seen
+    assert seen["unit at once"] > seen["unit by cancellation"] + seen["non-pivot entries"]
+
+
+def test_changing_what_a_read_returns_leaves_the_space_unchanged():
+    space = _space_of(4, [{0: 1, 2: 3}, {1: 2, 2: 4}, {3: 5}])
+    canon = space.canonical_matrix()
+    rows = space.reduced_rows()
+    assert canon == [[1, 0, 3, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+    canon[0][0] = 7
+    canon.pop()
+    rows[0][2] = 9
+    rows[3][0] = 1
+    del rows[1]
+    for read in (space.reduced_rows(2), space.reduced_rows(), space.reduced_rows(1)):
+        read.clear()
+    assert space.reduced_rows() == {0: {0: 1, 2: 3}, 1: {1: 1, 2: 2}, 3: {3: 1}}
+    assert space.canonical_matrix() == [[1, 0, 3, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+    assert space.unit_columns() == {3}
+    assert space.contains({0: 1, 1: 1, 2: 5}) and not space.contains({2: 1})
+
+
+def test_a_row_over_unit_columns_reduces_with_no_arithmetic(monkeypatch):
+    space = _space_of(6, [{0: 2, 3: 4, 4: -6}, {1: 1, 2: 3, 5: 2}, {2: 5}, {3: 1}, {4: 7}])
+    calls = []
+    for name in ("_eliminate", "primitive_row"):
+
+        def counted(*args, kernel=getattr(linalg, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    assert space.reduced_rows() == {0: {0: 1}, 1: {1: 1, 5: 2}, 2: {2: 1}, 3: {3: 1}, 4: {4: 1}}
+    # only row 1 has an entry outside the unit columns: one step and one rescaling
+    assert calls == ["_eliminate", "primitive_row"]
+    assert space.unit_columns() == {0, 2, 3, 4}

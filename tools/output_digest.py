@@ -4,12 +4,15 @@ Runs tanfam.cli.main in-process on a fixed list of calls (classify at
 the default order and at --order 1, classify of a family with a higher
 tail and of one given by its u, verify for every kind, envelope of a
 family given by u and of one given by k0, k1 and alpha, and both sweep
-modes at --grid 64), each in JSON and in text, and builds the
-exact tangent spaces of three germs.  A CLI case hashes its exit code,
-stdout, stderr and every file it wrote; each call runs in a fresh
-temporary directory, so relative output paths read the same on every
-run.  A library case hashes the canonical matrix and the provenance of
-one space.  selfcheck is left out: its payload holds timings.
+modes at --grid 64), each in JSON and in text.  It also builds the exact
+tangent spaces of three germs, of a generic double umbrella at orders
+7-9, and of the H and A branch lifts at caps 10 and 12.  A CLI case
+hashes its exit code, stdout, stderr and every file it wrote; each call
+runs in a fresh temporary directory, so relative output paths read the
+same on every run.  A library case hashes the canonical matrix and the
+provenance of one space, with the (3, 5, 4) block check of each
+umbrella order and the branch probe of each lift.  selfcheck is left
+out: its payload holds timings.
 
 Usage: PYTHONPATH=<tree>/src python tools/output_digest.py
 Prints one "sha256  case" line per case.  Run it against two trees' src
@@ -91,17 +94,22 @@ def cli_digest(argv: list[str]) -> str:
     return digest.hexdigest()
 
 
-def library_spaces() -> Iterator[tuple[str, object]]:
+def library_records() -> Iterator[tuple[str, dict]]:
     from tanfam import (
         KIND_FIBERED,
         KIND_FULL,
         build_extended_tangent_space,
         build_reduced_tangent_space,
+        contains_ideal_block,
         double_umbrella_form,
         family_from_invariants,
         fold_form,
         legendrian_parameterization,
+        probe_branch_index,
     )
+
+    def record(basis) -> dict:
+        return {"matrix": basis.canonical_matrix(), "provenance": list(basis.provenance)}
 
     germs = {
         "fold": fold_form(),
@@ -110,21 +118,40 @@ def library_spaces() -> Iterator[tuple[str, object]]:
     }
     for name, germ in germs.items():
         for kind in (KIND_FIBERED, KIND_FULL):
-            yield f"{kind}-extended {name}", build_extended_tangent_space(germ, kind=kind)
-        yield f"reduced {name}", build_reduced_tangent_space(germ)
+            yield f"{kind}-extended {name}", record(build_extended_tangent_space(germ, kind=kind))
+        yield f"reduced {name}", record(build_reduced_tangent_space(germ))
+    # The deep shapes: a generic umbrella at orders 7-9 with its (3, 5, 4)
+    # block, and the H and A branch lifts with their probes.
+    deep = double_umbrella_form("-37/11", "13/7", 10, validate=False)
+    for order in (7, 8, 9):
+        basis = build_extended_tangent_space(deep, order, KIND_FIBERED)
+        # before the matrix, so the block back-eliminates from its own start
+        block = contains_ideal_block(basis, 3, 5, 4)
+        yield (
+            f"{KIND_FIBERED}-extended umbrella a=-37/11 b=13/7 order {order} block (3, 5, 4)",
+            {**record(basis), "block": block.to_json()},
+        )
+    for family, (k1, alpha) in {"H": (3, 2), "A": (3, 1)}.items():
+        for cap in (10, 12):
+            germ = legendrian_parameterization(family_from_invariants(0, k1, alpha, cap=cap))
+            basis = build_extended_tangent_space(germ, kind=KIND_FULL)
+            yield (
+                f"{KIND_FULL}-extended {family}-branch lift cap {cap} probe",
+                {**record(basis), "probe": probe_branch_index(germ, family).to_json()},
+            )
 
 
-def library_digest(basis) -> str:
-    """sha256 over the canonical matrix and the provenance of one space."""
-    record = {"matrix": basis.canonical_matrix(), "provenance": list(basis.provenance)}
+def library_digest(record: dict) -> str:
+    """sha256 over one library record: the canonical matrix and the
+    provenance of one space, with a block check or a probe where given."""
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
 def digest_lines() -> Iterator[str]:
     for argv in cli_calls():
         yield f"{cli_digest(argv)}  tanfam {' '.join(argv)}"
-    for name, basis in library_spaces():
-        yield f"{library_digest(basis)}  {name}"
+    for name, record in library_records():
+        yield f"{library_digest(record)}  {name}"
 
 
 if __name__ == "__main__":
