@@ -1,18 +1,28 @@
 """Tangent spaces to map-germ equivalence orbits, as exact row spaces.
 
-For a germ f = (f1, f2, f3) from the plane to 3-space, the infinitesimal
-deformations absorbed by coordinate changes come from two generator
-families: reparameterizations of the source contribute multiples of the
-partial derivatives of f, and coordinate changes of the target contribute
-pullbacks of target functions placed componentwise.  The fibered
-equivalence (target changes commuting with the projection
-(x, y, z) -> (x, y)) restricts slots 1 and 2 to pullbacks of functions of
-x, y only; the unrestricted equivalence allows x, y, z everywhere.
+A germ f = (f1, ..., fn) from the plane has n = 2 or 3 components
+(germ.arity), and its tangent spaces live in n slots: every builder,
+column layout and membership check takes its slot count from the germ.
+The infinitesimal deformations absorbed by coordinate changes come from
+two generator families: reparameterizations of the source contribute
+multiples of the partial derivatives of f, and coordinate changes of the
+target contribute pullbacks of target functions placed componentwise.
+The unrestricted equivalence ("A") allows functions of all n target
+variables in every slot.  The fibered equivalence ("A-star") keeps the
+target changes that commute with the projection forgetting the last
+target variable: slots 1 to n - 1 take pullbacks of functions of the
+first n - 1 target variables only, slot n of all n.  For a germ in
+3-space these are functions of x, y in slots 1 and 2 and of x, y, z in
+slot 3; for a germ in the plane, functions of x in slot 1 and of x, y
+in slot 2.
 
 The reduced space used in jet-sufficiency steps keeps only source
 multipliers of degree >= 2 (vector fields of positive order) and replaces
 the full pullback module by M*: pullbacks of {y} + m^2 in slot 1,
-{x} + m^2 in slot 2, and {x, y} + m^2 in slot 3.
+{x} + m^2 in slot 2, and {x, y} + m^2 in slot 3.  M* and the double
+umbrella's ideal block (3, 5, 4) are defined for 3-component germs only,
+so the reduced builder, jet_sufficiency_step, miniversality_check and a
+three-threshold block check raise ValueError on a planar germ.
 
 Every space is truncated at a working order W <= cap - 1 (the cap-degree
 terms of the derivatives of f are not trustworthy).  Generators are built
@@ -24,7 +34,7 @@ one shared denominator s (shared_numerators), truncated at W:
   of m, memoized per build, through truncated_product;
 - a source generator shifts the exponents of a partial_derivative of the
   numerators taken at W + 1, which is s times the true partial in all
-  three slots alike, by its multiplier monomial.
+  slots alike, by its multiplier monomial.
 
 So every row is a positive multiple of the true generator's row, and
 primitive_row is invariant under nonzero scaling.  Truncation drops only
@@ -64,10 +74,10 @@ such a copy.
 TangentSpaceBasis is the one place that knows the column layout and
 the row space: it builds the (slot, monomial) -> column index once per
 basis, reads every generator row through it, flatten_triple reads
-user-given jet triples (membership and complement vectors) through it,
-block_columns turns per-slot degree thresholds into columns for block
-checks, caps and branch probes alike, and _enlarged hands out the
-enlarged copies.
+user-given jet vectors of one jet per slot (membership and complement
+vectors) through it, block_columns turns per-slot degree thresholds
+into columns for block checks, caps and branch probes alike, and
+_enlarged hands out the enlarged copies.
 """
 
 from __future__ import annotations
@@ -91,7 +101,7 @@ from tanfam.jets import (
 )
 from tanfam.linalg import RowSpace, SparseRow, primitive_row
 
-JetTriple = tuple[TruncatedPoly, TruncatedPoly, TruncatedPoly]
+JetTriple = tuple[TruncatedPoly, ...]  # one jet per slot
 # The reduced space's source multipliers have degree >= 2: vector fields
 # of positive order.
 _REDUCED_MULTIPLIER_DEGREE = 2
@@ -108,8 +118,6 @@ _UMBRELLA_BLOCK = (3, 5, 4)
 
 def _as_map_germ(f: "MapGerm | Sequence[TruncatedPoly]") -> MapGerm:
     germ = f if isinstance(f, MapGerm) else MapGerm(tuple(f))
-    if germ.arity != 3:
-        raise ValueError("tangent spaces are built for 3-component germs")
     if germ.variables != SOURCE_VARS:
         raise ValueError(f"tangent spaces are built for germs in {SOURCE_VARS}")
     return germ
@@ -130,8 +138,8 @@ def resolve_order(germ: MapGerm, order: int | None) -> int:
 
 def _coerce_triple(vec: Sequence[TruncatedPoly], germ: MapGerm) -> JetTriple:
     triple = tuple(vec)
-    if len(triple) != 3:
-        raise ValueError(f"expected a 3-slot jet vector, got {len(triple)} slots")
+    if len(triple) != germ.arity:
+        raise ValueError(f"expected a {germ.arity}-slot jet vector, got {len(triple)} slots")
     for comp in triple:
         if not isinstance(comp, TruncatedPoly):
             raise TypeError("jet vector slots must be TruncatedPoly")
@@ -143,7 +151,8 @@ def _coerce_triple(vec: Sequence[TruncatedPoly], germ: MapGerm) -> JetTriple:
 def flatten_triple(
     triple: Sequence[TruncatedPoly], columns: Mapping[tuple[int, Exponents], int]
 ) -> SparseRow:
-    """Primitive integer row of a jet triple over a (slot, monomial) -> column index.
+    """Primitive integer row of a jet vector (one jet per slot, a triple for a
+    germ in 3-space) over a (slot, monomial) -> column index.
 
     Terms whose monomial has no column (above the working order) are
     dropped.
@@ -168,14 +177,14 @@ def _pullback_rows(
 ) -> Iterator[Generator]:
     _, comps = shared_numerators(germ.components, order)
     lowest = [_lowest_degree((comp,), order) for comp in comps]
-    # Pullbacks of target monomials (padded to x, y, z), shared by the slots.
-    pulled: dict[Exponents, IntTable] = {(0, 0, 0): {(0, 0): 1}}
+    # Pullbacks of target monomials (padded to all target variables), shared by the slots.
+    pulled: dict[Exponents, IntTable] = {(0,) * len(comps): {(0, 0): 1}}
     for slot, monomials in enumerate(slot_monomials):
         prefix = f"slot{slot + 1} <- "
         for md in monomials:
             if sum(map(mul, md, lowest)) > order:
                 continue  # the pullback is 0 at the working order
-            jet = pullback(md + (0,) * (3 - len(md)), pulled, comps, order)
+            jet = pullback(md + (0,) * (len(comps) - len(md)), pulled, comps, order)
             yield (prefix, md, TARGET_VARS[: len(md)]), ((slot, jet),)
 
 
@@ -210,10 +219,10 @@ class TangentSpaceBasis:
         self.order = order
         self.monomials = _monomial_tuple(2, 0, order)
         # Slot-major layout: column j holds the (slot, monomial) pair _cells[j].
-        self._cells = tuple((slot, md) for slot in range(3) for md in self.monomials)
+        self._cells = tuple((slot, md) for slot in range(germ.arity) for md in self.monomials)
         self._columns = {cell: j for j, cell in enumerate(self._cells)}
         self._space = RowSpace(len(self._cells))
-        slot_columns: list[dict[Exponents, int]] = [{}, {}, {}]
+        slot_columns: list[dict[Exponents, int]] = [{} for _ in range(germ.arity)]
         for (slot, md), j in self._columns.items():
             slot_columns[slot][md] = j
         provenance: list[str] = []
@@ -231,8 +240,8 @@ class TangentSpaceBasis:
 
     @property
     def dimension(self) -> int:
-        """Dimension of the ambient truncated jet space (3 slots)."""
-        return 3 * len(self.monomials)
+        """Dimension of the ambient truncated jet space (one column per cell)."""
+        return len(self._cells)
 
     @property
     def codimension(self) -> int:
@@ -252,8 +261,8 @@ class TangentSpaceBasis:
 
         A threshold above the working order selects nothing in its slot.
         """
-        if len(thresholds) != 3:
-            raise ValueError(f"expected one degree threshold per slot, got {len(thresholds)}")
+        if len(thresholds) != self.germ.arity:
+            raise ValueError(f"{len(thresholds)} degree thresholds for {self.germ.arity} slots")
         return {
             j: sum(md)
             for j, (slot, md) in enumerate(self._cells)
@@ -288,10 +297,12 @@ class TangentSpaceBasis:
     def contains(
         self, vec: Sequence[TruncatedPoly], caps: Sequence[int] | None = None
     ) -> bool:
-        """Membership of a jet triple, optionally modulo per-slot degree caps.
+        """Membership of a jet vector (one jet per slot), optionally modulo
+        per-slot degree caps.
 
-        With caps = (p, q, r), the monomials of slot s above degree caps[s]
-        are quotiented out: their unit rows join a copy of the space.
+        With caps = (p, q, r) on a germ in 3-space, the monomials of slot
+        s above degree caps[s] are quotiented out: their unit rows join a
+        copy of the space.
         """
         space, _ = self._enlarged(caps)
         return space.contains(flatten_triple(_coerce_triple(vec, self.germ), self._columns))
@@ -319,16 +330,15 @@ def build_extended_tangent_space(
     kind: str = KIND_FIBERED,
 ) -> TangentSpaceBasis:
     """Extended tangent space: source multiples of the partials plus full
-    componentwise pullbacks (fibered in slots 1-2 unless kind is "A")."""
+    componentwise pullbacks (fibered in slots 1 to n - 1 unless kind is "A")."""
     germ = _as_map_germ(f)
     order = resolve_order(germ, order)
     if kind not in (KIND_FIBERED, KIND_FULL):
         raise ValueError(f"kind must be {KIND_FIBERED!r} or {KIND_FULL!r}, got {kind!r}")
-    spatial = _monomial_tuple(3, 0, order)
-    planar = spatial if kind == KIND_FULL else _monomial_tuple(2, 0, order)
-    rows = chain(
-        _source_rows(germ, order, 0), _pullback_rows(germ, order, (planar, planar, spatial))
-    )
+    full = _monomial_tuple(germ.arity, 0, order)
+    fibered = full if kind == KIND_FULL else _monomial_tuple(germ.arity - 1, 0, order)
+    slots = (fibered,) * (germ.arity - 1) + (full,)
+    rows = chain(_source_rows(germ, order, 0), _pullback_rows(germ, order, slots))
     return TangentSpaceBasis(f"{kind}-extended", germ, order, rows)
 
 
@@ -338,6 +348,8 @@ def build_reduced_tangent_space(
 ) -> TangentSpaceBasis:
     """Reduced tangent space: positive-order source part plus the M* module."""
     germ = _as_map_germ(f)
+    if germ.arity != 3:
+        raise ValueError("the reduced tangent space is defined for 3-component germs")
     order = resolve_order(germ, order)
     planar_sq = _monomial_tuple(2, 2, order)
     spatial_sq = _monomial_tuple(3, 2, order)
@@ -425,7 +437,7 @@ def jet_sufficiency_step(
                 )
         degrees = inferred
     degrees = tuple(degrees)
-    if len(degrees) != 3:
+    if len(degrees) != len(triple):
         raise ValueError("degrees must have one entry per slot")
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")

@@ -65,7 +65,13 @@ def tangent_rows(
     reduced: bool = False,
     source_min_degree: int = 2,
 ) -> tuple[list[list], list[tuple[int, int]]]:
-    """Generator matrix rows for the tangent space of a 3-component germ."""
+    """Generator matrix rows for the tangent space of an n-component germ.
+
+    n = len(comps) is 2 or 3.  Under "A" every slot takes functions of
+    all n target variables; under "A-star" slots 1 to n - 1 take functions
+    of the first n - 1 only.  The reduced space (M*) is for n = 3.
+    """
+    n = len(comps)
     monomials = sorted(_source_monomials(order), key=lambda m: (m[0] + m[1], m))
     rows = []
     min_deg = source_min_degree if reduced else 0
@@ -75,30 +81,27 @@ def tangent_rows(
             mono = XI**i * T**j
             rows.append(_flatten([mono * p for p in partials], monomials, order))
 
+    def target_monomials(nvars: int, min_degree: int = 0) -> list[tuple[int, ...]]:
+        return [
+            m for m in product(range(order + 1), repeat=nvars) if min_degree <= sum(m) <= order
+        ]
+
     if reduced:
-        planar_sq = [
-            m for m in product(range(order + 1), repeat=2) if 2 <= sum(m) <= order
-        ]
-        spatial_sq = [
-            m for m in product(range(order + 1), repeat=3) if 2 <= sum(m) <= order
-        ]
+        planar_sq, spatial_sq = target_monomials(2, 2), target_monomials(3, 2)
         slot_monomials = [
             [(0, 1)] + planar_sq,
             [(1, 0)] + planar_sq,
             [(1, 0, 0), (0, 1, 0)] + spatial_sq,
         ]
-    elif kind == "A":
-        spatial = [m for m in product(range(order + 1), repeat=3) if sum(m) <= order]
-        slot_monomials = [spatial, spatial, spatial]
     else:
-        planar = [m for m in product(range(order + 1), repeat=2) if sum(m) <= order]
-        spatial = [m for m in product(range(order + 1), repeat=3) if sum(m) <= order]
-        slot_monomials = [planar, planar, spatial]
+        full = target_monomials(n)
+        fibered = full if kind == "A" else target_monomials(n - 1)
+        slot_monomials = [fibered] * (n - 1) + [full]
 
     pulls: dict[tuple[int, ...], sp.Expr] = {}  # shared by the slots
     for slot, monos in enumerate(slot_monomials):
         for exponents in monos:
-            key = tuple(exponents) + (0,) * (3 - len(exponents))
+            key = tuple(exponents) + (0,) * (n - len(exponents))
             if key not in pulls:
                 pulled = sp.Integer(1)
                 for comp, e in zip(comps, exponents):
@@ -106,9 +109,9 @@ def tangent_rows(
                         pulled = _truncate(pulled * comp**e, order).as_expr()
                 pulls[key] = pulled
             pulled = pulls[key]
-            triple = [sp.Integer(0)] * 3
-            triple[slot] = pulled
-            rows.append(_flatten(triple, monomials, order))
+            vector = [sp.Integer(0)] * n
+            vector[slot] = pulled
+            rows.append(_flatten(vector, monomials, order))
     return rows, monomials
 
 
@@ -131,7 +134,8 @@ def sympy_contains_each(
     reduced: bool = False,
     caps: tuple[int, int, int] | None = None,
 ) -> list[bool]:
-    """Membership of each jet triple via augmented-rank comparison.
+    """Membership of each jet vector (one jet per slot) via augmented-rank
+    comparison.
 
     With caps = (p, q, r), the unit rows of the slot-s monomials above
     degree caps[s] join the generator rows first, so membership is read
@@ -139,7 +143,7 @@ def sympy_contains_each(
     """
     rows, monomials = tangent_rows(comps, order, kind, reduced)
     if caps is not None:
-        width = 3 * len(monomials)
+        width = len(comps) * len(monomials)
         for slot, limit in enumerate(caps):
             for i, monom in enumerate(monomials):
                 if sum(monom) > limit:
@@ -217,3 +221,19 @@ def deformed_double_umbrella(a, b, lam, mu1, mu2) -> tuple[sp.Expr, sp.Expr]:
 def criminant(x: sp.Expr, y: sp.Expr) -> sp.Expr:
     """D = x_xi y_t - x_t y_xi, the Jacobian determinant of (x, y), untruncated."""
     return sp.expand(sp.diff(x, XI) * sp.diff(y, T) - sp.diff(x, T) * sp.diff(y, XI))
+
+
+# Rieger's normal forms of germs (R^2, 0) -> (R^2, 0) with their
+# A_e-codimensions (J. H. Rieger, J. London Math. Soc. (2) 36 (1987)
+# 351-369), as component texts in (xi, t) = (x, y).
+RIEGER_FORMS = {
+    "fold": (("1 xi", "1 t^2"), 0),
+    "cusp": (("1 xi", "1 xi t + 1 t^3"), 0),
+    "lips": (("1 xi", "1 t^3 + 1 xi^2 t"), 1),
+    "beaks": (("1 xi", "1 t^3 + -1 xi^2 t"), 1),
+    "swallowtail": (("1 xi", "1 xi t + 1 t^4"), 1),
+    "goose": (("1 xi", "1 t^3 + 1 xi^3 t"), 2),
+    "butterfly": (("1 xi", "1 xi t + 1 t^5 + 1 t^7"), 2),
+    "gulls": (("1 xi", "1 xi t^2 + 1 t^4 + 1 t^5"), 2),
+    "4_4": (("1 xi", "1 t^3 + 1 xi^4 t"), 3),
+}

@@ -7,6 +7,7 @@ algebra.
 """
 
 import gc
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracle import (
+    RIEGER_FORMS,
     parse_component,
     reduced_echelon,
     sympy_contains,
@@ -818,3 +820,100 @@ def test_miniversality_degenerate_b_does_not_span():
     complement = [(ZERO, T_P, ZERO), (bump, ZERO, ZERO), (ZERO, bump, ZERO)]
     verdict = miniversality_check(germ, complement, 6)
     assert verdict["spans"] is False
+
+
+# ---------------------------------------------------------------------------
+# plane-to-plane germs: the same builders with two slots
+
+
+def planar_germ(texts, cap):
+    return MapGerm([TruncatedPoly.from_text(SOURCE_VARS, text, cap) for text in texts])
+
+
+# The fibered planar group (slot 1 takes functions of x only) reads a
+# higher codimension than A on these two forms, and the same on the rest.
+_FIBERED_RIEGER = {"swallowtail": 2, "butterfly": 3}
+
+
+@pytest.mark.parametrize("name", sorted(RIEGER_FORMS))
+def test_rieger_codimensions_of_plane_to_plane_germs(name):
+    texts, codimension = RIEGER_FORMS[name]
+    for order in (8, 10, 12):
+        germ = planar_germ(texts, order + 1)
+        full = build_extended_tangent_space(germ, order, KIND_FULL)
+        assert (full.codimension, full.dimension) == (codimension, len(full.monomials) * 2)
+        fibered = build_extended_tangent_space(germ, order, KIND_FIBERED)
+        assert fibered.codimension == _FIBERED_RIEGER.get(name, codimension), order
+
+
+@pytest.mark.parametrize("a", ["1/5", "1/4", "-1/2", "1/10", "-3", "-1", "0"])
+def test_umbrella_projection_is_beaks_with_lambda_t_versal(a):
+    """The projection (xi, t^3 + t^2 xi + a t xi^2) has A_e-codimension 1,
+    and (0, t) lies outside the tangent space, so it fills the normal
+    space: lambda t is a versal unfolding of the projection.  The fibered
+    planar group reads the same, at the excluded a = -1 and 0 too."""
+    for order in (8, 10, 12):
+        germ = double_umbrella_form(a, 1, order + 1, validate=False).planar_projection()
+        zero = TruncatedPoly.zero(SOURCE_VARS, order + 1)
+        t = TruncatedPoly.variable(SOURCE_VARS, "t", order + 1)
+        for kind in (KIND_FULL, KIND_FIBERED):
+            basis = build_extended_tangent_space(germ, order, kind)
+            assert basis.codimension == 1, (order, kind)
+            assert not basis.contains((zero, t)), (order, kind)
+
+
+def test_umbrella_projection_at_one_third_is_not_finitely_determined():
+    # the 3-jet is (x, y^3): the codimension grows with the working order
+    codimensions = [
+        build_extended_tangent_space(
+            double_umbrella_form("1/3", 1, order + 1, validate=False).planar_projection(),
+            order,
+            KIND_FULL,
+        ).codimension
+        for order in (8, 10, 12)
+    ]
+    assert codimensions == [8, 10, 12]
+
+
+def random_planar_germ(rng, cap):
+    """Two components of one to four terms of degree 1..4, small rationals."""
+    comps = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(0, 4)
+            terms[i, rng.randint(max(1 - i, 0), 4 - i)] = Fraction(
+                rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5)
+            )
+        comps.append(TruncatedPoly(SOURCE_VARS, cap, terms))
+    return MapGerm(comps)
+
+
+def test_planar_ranks_match_sympy_oracle_on_random_germs():
+    rng = random.Random(27)
+    codimensions = set()
+    for _ in range(20):
+        germ = random_planar_germ(rng, 5)
+        order = rng.randint(2, 4)
+        for kind in (KIND_FIBERED, KIND_FULL):
+            basis = build_extended_tangent_space(germ, order, kind)
+            assert basis.rank == sympy_rank(oracle_comps(germ), order, kind=kind), (germ, kind)
+            codimensions.add(basis.codimension)
+    assert len(codimensions) > 2  # the germs are not all alike
+
+
+def test_planar_germs_are_refused_where_only_three_slots_are_defined():
+    germ = double_umbrella_form("1/5", 1, 8).planar_projection()
+    basis = build_extended_tangent_space(germ, 6)
+    assert (basis.dimension, basis.codimension) == (2 * len(basis.monomials), 1)
+    assert basis.contains((ZERO, T_P**3))
+    with pytest.raises(ValueError, match="2-slot jet vector"):
+        basis.contains((ZERO, ZERO, T_P))
+    with pytest.raises(ValueError, match="3-component"):
+        build_reduced_tangent_space(germ)
+    with pytest.raises(ValueError, match="3-component"):
+        jet_sufficiency_step(germ, (ZERO, T_P**4))
+    with pytest.raises(ValueError, match="3 degree thresholds for 2 slots"):
+        miniversality_check(germ, [(ZERO, T_P)], 6)
+    with pytest.raises(ValueError, match="3 degree thresholds for 2 slots"):
+        contains_ideal_block(basis, 3, 5, 4)

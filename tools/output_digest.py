@@ -5,8 +5,9 @@ the default order and at --order 1, classify of a family with a higher
 tail and of one given by its u, verify for every kind, envelope of a
 family given by u and of one given by k0, k1 and alpha, and both sweep
 modes at --grid 64), each in JSON and in text.  It also builds the exact
-tangent spaces of three germs, of a generic double umbrella at orders
-7-9, and of the H and A branch lifts at caps 10 and 12.  A CLI case
+tangent spaces of three germs, of the planar projection of the double
+umbrella at a = 1/5, b = 1, of a generic double umbrella at orders 7-9,
+and of the H and A branch lifts at caps 10 and 12.  A CLI case
 hashes its exit code, stdout, stderr and every file it wrote; each call
 runs in a fresh temporary directory, so relative output paths read the
 same on every run.  A library case hashes the canonical matrix and the
@@ -120,6 +121,11 @@ def library_records() -> Iterator[tuple[str, dict]]:
         for kind in (KIND_FIBERED, KIND_FULL):
             yield f"{kind}-extended {name}", record(build_extended_tangent_space(germ, kind=kind))
         yield f"reduced {name}", record(build_reduced_tangent_space(germ))
+    # A plane-to-plane germ: two slots, and only the extended spaces.
+    planar = germs["umbrella a=1/5 b=1"].planar_projection()
+    for kind in (KIND_FIBERED, KIND_FULL):
+        basis = build_extended_tangent_space(planar, 7, kind)
+        yield f"{kind}-extended umbrella a=1/5 b=1 planar projection order 7", record(basis)
     # The deep shapes: a generic umbrella at orders 7-9 with its (3, 5, 4)
     # block, and the H and A branch lifts with their probes.
     deep = double_umbrella_form("-37/11", "13/7", 10, validate=False)
