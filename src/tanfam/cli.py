@@ -11,8 +11,11 @@ Exit codes separate four situations:
   3  the computation contradicts the documented prediction, or a
      self-check suite found a violation
 
-Flag misuse (unknown flags, missing required flags) keeps argparse's
-own exit status; only content-level problems map to exit 1.
+Flag misuse (unknown flags, missing required flags, a value of the
+wrong type) keeps argparse's own exit status, 2, the same code as an
+indeterminate classification; argparse then prints a "usage:" line on
+stderr, which tells the two apart.  Only content-level problems map to
+exit 1.
 
 Every flag is resolved and checked once, before any command runs:
 argparse holds each default it can express, and one check fills in the
@@ -72,9 +75,9 @@ EXIT_CONTRADICTS = 3
 
 VERIFY_KINDS = ("ideal-block", "fold-sufficiency", "miniversal")
 
-# Samples per axis that --grid may ask for.  A trace holds about 24 bytes
-# per grid sample at its peak (three float grids while the determinant is
-# formed), so the limit costs about 0.4 GB.
+# Samples per axis that --grid may ask for.  A trace holds about 12 bytes
+# per grid sample at its peak (the determinant's float grid plus the
+# boolean grids of marching squares), so the limit costs about 0.2 GB.
 MAX_GRID_RESOLUTION = 4096
 
 # Largest --cap accepted.  Time, not memory, limits it: verify

@@ -196,14 +196,12 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
 
 
-def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray:
+def _evaluate(c: np.ndarray, xi, t) -> np.ndarray:
     """sum c[i, j] xi^i t^j at (xi, t) broadcast together, Horner in xi then t.
 
     Scattered points (equal shapes), open meshes (GridSpec.mesh) and
     Python-float scalars all work; per sample the operations are those of
-    numpy's polyval2d.  The result goes into out when given (it must have
-    the broadcast shape of xi and t), else into a new array; a scalar
-    result comes back as a numpy scalar.
+    numpy's polyval2d.  A scalar result comes back as a numpy scalar.
 
     Evaluation runs at the true degree: trailing rows and columns whose
     entries are all +0.0 are dropped first (keeping at least one of each),
@@ -226,13 +224,36 @@ def _evaluate(c: np.ndarray, xi, t, out: np.ndarray | None = None) -> np.ndarray
     """
     c = _trim(c)
     inner = polyval(xi, c)
-    acc = np.empty(np.broadcast_shapes(np.shape(xi), np.shape(t))) if out is None else out
+    acc = np.empty(np.broadcast_shapes(np.shape(xi), np.shape(t)))
     np.add(inner[-1], t * 0, out=acc)
     for k in range(2, len(inner) + 1):
         np.multiply(acc, t, out=acc)
         np.add(inner[-k], acc, out=acc)
     # an array result is acc itself; a 0-d one becomes a numpy scalar, as from polyval
     return acc if acc.ndim else acc[()]
+
+
+def _criminant_array(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Float coefficients of D = x_xi * y_t - x_t * y_xi for the map (c1, c2).
+
+    D is the sum of the product terms a[i, j] * b[k, l], each added into
+    entry (i + k, j + l), for (a, b) = (x_xi, y_t) and then (-x_t, y_xi).
+    Every entry starts at +0.0 and takes its terms in that one order:
+    the pairs in turn, and within a pair (i, j, k, l) in C order, since
+    np.add.at adds in index order.  So no entry of D is -0.0.  A product
+    that overflows leaves inf or NaN in D, which the grids evaluated from
+    it then carry to _finite.
+    """
+    pairs = (
+        (_derive_array(c1, 0), _derive_array(c2, 1)),
+        (-_derive_array(c1, 1), _derive_array(c2, 0)),
+    )
+    d = np.zeros(np.max([np.add(a.shape, b.shape) - 1 for a, b in pairs], axis=0))
+    for a, b in pairs:
+        i, j, k, l = np.ix_(*(np.arange(n) for n in a.shape + b.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(d, (i + k, j + l), np.multiply.outer(a, b))
+    return d
 
 
 class PlanarMap:
@@ -250,9 +271,7 @@ class PlanarMap:
         self._d1_t = _derive_array(self.c1, 1)
         self._d2_xi = _derive_array(self.c2, 0)
         self._d2_t = _derive_array(self.c2, 1)
-        # Determinant grids shared with maps evaluated on the same samples
-        # (see det); deformation_sweep sets one dict for all its frames.
-        self._shared: dict | None = None
+        self._det = _trim(_criminant_array(self.c1, self.c2))
 
     @classmethod
     def from_polys(cls, p1: TruncatedPoly, p2: TruncatedPoly) -> "PlanarMap":
@@ -276,50 +295,9 @@ class PlanarMap:
         )
 
     def det(self, xi, t) -> np.ndarray:
-        """j11 * j22 - j12 * j21 at the samples, with the same roundings.
-
-        Each entry is evaluated on only the axes it depends on (_own_axes)
-        and the products broadcast into the one full-shape result: j22
-        goes straight into it, is multiplied by j11 and has the product
-        subtracted.  Per sample these are the operations of the full-grid
-        j11 * j22 - j12 * j21, so the bits are the same.
-
-        The j11 and j12 * j21 grids are read from self._shared, keyed by
-        the bytes of their coefficient arrays, and added to it when
-        missing.  That dict must serve one set of samples only.  Without
-        one, the grids live only as long as this call.
-        """
-        shared = {} if self._shared is None else self._shared
-        shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
-
-        def grid(c):
-            return _evaluate(c, *_own_axes(c, xi, t))
-
-        def product():
-            j12, j21 = grid(self._d1_t), grid(self._d2_xi)
-            # j12 is a new array: fill it when it has the product's shape
-            # (not for scalar samples, where it is a numpy scalar)
-            in_place = isinstance(j12, np.ndarray) and j12.shape == np.broadcast_shapes(
-                j12.shape, np.shape(j21)
-            )
-            return np.multiply(j12, j21, out=j12 if in_place else None)
-
-        j11 = _shared_grid(shared, (self._d1_xi,), lambda: grid(self._d1_xi))
-        j12_j21 = _shared_grid(shared, (self._d1_t, self._d2_xi), product)
-        det = np.empty(shape)
-        xi22, t22 = _own_axes(self._d2_t, xi, t)
-        full = np.broadcast_shapes(np.shape(xi22), np.shape(t22)) == shape
-        np.multiply(j11, _evaluate(self._d2_t, xi22, t22, out=det if full else None), out=det)
-        np.subtract(det, j12_j21, out=det)
-        return det[()]
-
-
-def _shared_grid(shared: dict, arrays: tuple[np.ndarray, ...], make: Callable):
-    """shared's value for the coefficient bytes of arrays, made when missing."""
-    key = tuple((c.shape, c.tobytes()) for c in arrays)
-    if key not in shared:
-        shared[key] = make()
-    return shared[key]
+        """The Jacobian determinant D at the samples: one _evaluate pass over
+        its coefficient array (_criminant_array), formed once per map."""
+        return _evaluate(self._det, xi, t)
 
 
 def _is_open_mesh(xi, t) -> bool:
@@ -968,8 +946,8 @@ def legendrian_lift(target, grid: GridSpec | None = None) -> LiftedSurface:
     must be finite on the grid; ValueError otherwise.
 
     x, y, dx and dy are each evaluated on only the grid axes they depend
-    on (_own_axes, as in PlanarMap.det) and checked there; for an adapted
-    family dx is the constant 1.  dx and dy are never broadcast:
+    on (_own_axes) and checked there; for an adapted family dx is the
+    constant 1.  dx and dy are never broadcast:
     CHART_EPSILON * |dy| is formed in the slope buffer and compared with
     |dx| into the chart array; where dx has a zero, one boolean pass adds
     the samples with dx = 0 != dy, at which CHART_EPSILON * |dy| can
@@ -1104,22 +1082,13 @@ def deformation_sweep(
     mu1: float = 0.0,
     mu2: float = 0.0,
 ) -> list[SweepFrame]:
-    """One frame per lambda; mu parameters apply in versal mode only.
-
-    Lambda changes the t coefficient of the second component only, which
-    reaches the Jacobian entry j22 alone.  The frames therefore share one
-    dict of determinant grids (PlanarMap.det): j11 and j12 * j21 are
-    evaluated for the first frame and reused, keyed by their coefficient
-    bytes, and every frame evaluates j22 only.
-    """
+    """One frame per lambda; mu parameters apply in versal mode only."""
     lambdas = tuple(lambdas) if lambdas is not None else default_sweep_lambdas()
     grid = grid if grid is not None else GridSpec()
-    shared: dict = {}  # every frame is traced on the one grid
     frames = []
     for lam in lambdas:
         params = DeformationParams(lam=lam, mu1=mu1, mu2=mu2)
         deformed = apply_deformation(base, params, mode)
-        deformed._shared = shared
         criminant = count_cusps(deformed, grid).curves
         envelope = envelope_curves(deformed, criminant)
         frames.append(SweepFrame(params, mode, criminant, envelope, grid))

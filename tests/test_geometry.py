@@ -48,7 +48,7 @@ from tanfam.geometry import (
     _turn_candidates,
     _turn_degrees,
 )
-from tanfam.jets import MapGerm, SOURCE_VARS, TruncatedPoly
+from tanfam.jets import MapGerm, SOURCE_VARS, TruncatedPoly, criminant
 
 XI = TruncatedPoly.variable(SOURCE_VARS, "xi", 8)
 T = TruncatedPoly.variable(SOURCE_VARS, "t", 8)
@@ -155,8 +155,8 @@ def test_planar_map_on_open_mesh_matches_dense_polyval2d():
             assert np.array_equal(got, want)
         for got, want in zip(planar.jacobian(open_xi, open_t), expected_jacobian):
             assert np.array_equal(got, want)
-        j11, j12, j21, j22 = expected_jacobian
-        assert np.array_equal(planar.det(open_xi, open_t), j11 * j22 - j12 * j21)
+        expected_det = np.polynomial.polynomial.polyval2d(dense_xi, dense_t, planar._det)
+        assert np.array_equal(planar.det(open_xi, open_t), expected_det)
 
 
 def _padded(c, rows, cols):
@@ -235,6 +235,17 @@ def _reference_jacobian(planar, xi, t):
     return [_reference_evaluate(d, xi, t) for d in derivatives]
 
 
+def _reference_det(planar, xi, t):
+    """numpy's polyval2d of D's coefficient array: polyval in xi, then in t.
+
+    Scalar samples go in as 1-element arrays, so numpy's array loops run,
+    as they do in _evaluate (numpy's scalar arithmetic can give a NaN of
+    the other sign); a 0-d result comes back as a numpy scalar."""
+    shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
+    want = _reference_evaluate(planar._det, np.atleast_1d(xi), np.atleast_1d(t))
+    return want.reshape(shape)[()]
+
+
 def _reference_lift(planar, grid, epsilon):
     """Slope, chart and invalid mask by boolean indexing."""
     xi, t = grid.mesh()
@@ -300,24 +311,22 @@ _KERNEL_SAMPLES = {
 @pytest.mark.parametrize("samples", sorted(_KERNEL_SAMPLES))
 @pytest.mark.parametrize("name", sorted(_KERNEL_MAPS))
 def test_grid_kernels_match_the_polyval_reference(name, samples):
-    """Values, Jacobian and determinant keep the bits of the old formulas."""
+    """Values and Jacobian keep the bits of the old formulas, and the
+    determinant has the bits of polyval2d over D's coefficient array."""
     planar = _KERNEL_MAPS[name]
     xi, t = _KERNEL_SAMPLES[samples]
     for got, c in zip(planar(xi, t), (planar.c1, planar.c2)):
         _assert_same_value(got, _reference_evaluate(c, xi, t))
-    want = _reference_jacobian(planar, xi, t)
-    for got, expected in zip(planar.jacobian(xi, t), want):
+    for got, expected in zip(planar.jacobian(xi, t), _reference_jacobian(planar, xi, t)):
         _assert_same_value(got, expected)
-    j11, j12, j21, j22 = want
-    _assert_same_value(planar.det(xi, t), j11 * j22 - j12 * j21)
+    _assert_same_value(planar.det(xi, t), _reference_det(planar, xi, t))
 
 
 def test_determinant_keeps_its_bits_where_it_overflows():
     planar = as_planar_map(MapGerm((XI + T, XI * T * T)))
     xi, t = GridSpec.square(1e160, 16).mesh()
     with np.errstate(over="ignore", invalid="ignore"):
-        j11, j12, j21, j22 = _reference_jacobian(planar, xi, t)
-        want = j11 * j22 - j12 * j21
+        want = _reference_det(planar, xi, t)
         got = planar.det(xi, t)
     assert not np.isfinite(want).all()
     _assert_same_value(got, want)
@@ -326,18 +335,41 @@ def test_determinant_keeps_its_bits_where_it_overflows():
         trace_criminant(planar, GridSpec(-1e160, 1e160, -1e159, 1e161, 16, 11))
 
 
-def _full_grid_det(planar, xi, t):
-    """PlanarMap.det as it was before entries got their own axes: all four
-    entries over the full broadcast grid, in three grids."""
-    shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
-    det, other = np.empty(shape), np.empty(shape)
-    _evaluate(planar._d1_xi, xi, t, out=det)
-    _evaluate(planar._d2_t, xi, t, out=other)
-    np.multiply(det, other, out=det)
-    _evaluate(planar._d1_t, xi, t, out=other)
-    np.multiply(other, _evaluate(planar._d2_xi, xi, t), out=other)
-    np.subtract(det, other, out=det)
-    return det[()]
+def _exact_poly(c, cap):
+    """The jet whose coefficients are the exact values of the floats in c."""
+    return TruncatedPoly(SOURCE_VARS, cap, {e: Fraction(float(v)) for e, v in np.ndenumerate(c)})
+
+
+def _coefficientwise(p, f):
+    return TruncatedPoly(p.variables, p.cap, {e: f(v) for e, v in p.terms()})
+
+
+@pytest.mark.parametrize(
+    "planar",
+    [*_KERNEL_MAPS.values(), PlanarMap(*np.random.default_rng(5).normal(size=(2, 9, 9)))],
+    ids=[*_KERNEL_MAPS, "dense"],
+)
+def test_determinant_coefficients_are_within_ulps_of_the_exact_criminant(planar):
+    """Entry (i, j) of D's float array lies within m + 3 ulps of S of the
+    exact criminant's coefficient, where S is the sum of the magnitudes of
+    its exact product terms and m counts them: each derivative and each
+    product rounds once and each of the m sums once, so the error is at
+    most (m + 2) u S / (1 - (m + 2) u), with u = 2^-53 and u S < ulp(S).
+    An entry with no nonzero term is exactly 0."""
+    cap = sum(planar.c1.shape) + sum(planar.c2.shape)
+    x, y = _exact_poly(planar.c1, cap), _exact_poly(planar.c2, cap)
+    exact = dict(criminant((x, y)).terms())
+    size, count = {}, {}
+    for a, b in ((x.derive("xi"), y.derive("t")), (x.derive("t"), y.derive("xi"))):
+        for f, total in ((abs, size), (lambda v: 1, count)):
+            for e, v in (_coefficientwise(a, f) * _coefficientwise(b, f)).terms():
+                total[e] = total.get(e, 0) + v
+    assert np.isfinite(planar._det).all()
+    assert all(e in size for e, v in np.ndenumerate(planar._det) if v)
+    for e, s in size.items():
+        inside = e[0] < planar._det.shape[0] and e[1] < planar._det.shape[1]
+        error = abs((Fraction(float(planar._det[e])) if inside else 0) - exact.get(e, 0))
+        assert error <= (count[e] + 3) * Fraction(math.ulp(float(s))), e
 
 
 # Signed zeros and small integers make exact cancellations and zero
@@ -389,8 +421,9 @@ _MIXED_SIGNS = (np.array([[-1.0], [1.0]]), np.array([[-1.0, 1.0]]))
 @example(np.array([[1.0, -0.0]]), np.array([[0.0, 1.0], [-0.0, 0.0]]), _MIXED_SIGNS)  # j12, j21
 def test_own_axes_determinant_matches_the_full_grid_reference(c1, c2, samples):
     """On a finite open mesh each Jacobian entry on its own axes, broadcast,
-    has the full-grid bits; on every kind of samples the determinant has
-    the bits of the full-grid formulation."""
+    has the full-grid bits; on every kind of samples, non-finite ones
+    included, the determinant has the bits of polyval2d over D's
+    coefficient array."""
     xi, t = samples
     shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
     with np.errstate(all="ignore"):
@@ -399,7 +432,7 @@ def test_own_axes_determinant_matches_the_full_grid_reference(c1, c2, samples):
             own = _own_axes(c, xi, t)
             got = np.broadcast_to(_evaluate(c, *own), shape)
             _assert_same_bits(got, _evaluate(c, xi, t))
-        _assert_same_value(planar.det(xi, t), _full_grid_det(planar, xi, t))
+        _assert_same_value(planar.det(xi, t), _reference_det(planar, xi, t))
 
 
 # Each map's dx is scaled by CHART_EPSILON / epsilon, so the lift's constant
@@ -1021,8 +1054,8 @@ def test_deformation_sweep_cusp_counts():
 
 @pytest.mark.parametrize("mode, mu", [(MODE_BEAKS, (0.0, 0.0)), (MODE_VERSAL, (0.028, 0.019))])
 def test_sweep_frames_equal_single_frame_runs(mode, mu):
-    """Frames that share the lambda-invariant determinant grids equal
-    frames analysed one at a time, lambda repeated and -0.0 included."""
+    """The frames of one sweep equal frames analysed one at a time, lambda
+    repeated and -0.0 included."""
     germ = double_umbrella_form(Fraction(1, 5), 1)
     grid = GridSpec(-1.0, 0.9, -1.1, 1.0, 97, 89)
     lambdas = (0.1, -0.05, 0.1, -0.0, 0.0, 0.05, -0.05)
@@ -1034,25 +1067,6 @@ def test_sweep_frames_equal_single_frame_runs(mode, mu):
         for got, want in ((frame.criminant, alone.criminant), (frame.envelope, alone.envelope)):
             assert got.branches == want.branches
             assert got.cusps == want.cusps
-
-
-def test_shared_determinant_grids_are_keyed_by_coefficient_bytes():
-    """One dict of shared grids serves maps whose j11 or j12 * j21 differ."""
-    xi, t = GridSpec(-1.0, 0.9, -1.1, 1.0, 41, 37).mesh()
-    maps = [
-        apply_deformation(double_umbrella_form(a, 1), DeformationParams(lam, *mu), mode)
-        for a in (Fraction(1, 5), Fraction(-1, 2))
-        for lam in (0.1, -0.0)
-        for mode, mu in ((MODE_BEAKS, (0.0, 0.0)), (MODE_VERSAL, (0.028, 0.019)))
-    ] + [_KERNEL_MAPS[name] for name in ("random", "signed-zeros", "crossing")]
-    shared = {}
-    for planar in maps + maps[::-1]:
-        sharing = PlanarMap(planar.c1, planar.c2)
-        sharing._shared = shared
-        _assert_same_value(sharing.det(xi, t), planar.det(xi, t))
-    # j11 = 1 in the umbrella maps and in (xi + t, t^2 xi), two more j11 in the
-    # others; one j12 * j21 per a and mode (not per lambda), three more
-    assert len(shared) == 3 + 4 + 3
 
 
 @pytest.mark.parametrize(
@@ -1084,8 +1098,8 @@ def test_sweep_peak_memory_stays_below_the_full_grid_determinant():
 
     The bound is the peak measured when every frame evaluated all four
     Jacobian entries on the full grid (1,926,414 bytes, about 29 bytes
-    per sample); sharing the lambda-invariant grids peaks at about
-    1,524,509 bytes.
+    per sample); evaluating D from its coefficient array in one pass
+    peaks at about 1,061,367 bytes.
     """
     germ = double_umbrella_form(Fraction(1, 5), 1)
     grid = GridSpec.square(1.0, 256)

@@ -16,7 +16,7 @@ def test_one_sha256_line_per_case_and_two_runs_agree(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     first = list(output_digest.digest_lines())
     assert first == list(output_digest.digest_lines())
-    assert len(first) == 64  # 46 CLI calls, 18 tangent spaces
+    assert len(first) == 67  # 46 CLI calls, 18 tangent spaces, 3 determinant grids
     cases = []
     for line in first:
         match = re.fullmatch(r"([0-9a-f]{64})  (\S.*)", line)

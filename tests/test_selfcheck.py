@@ -87,6 +87,40 @@ def test_naive_rank_matches_builder_on_fixed_germ():
         assert naive_tangent_rank(germ, 3, kind) == basis.rank
 
 
+def test_naive_rank_matches_builder_on_planar_germs():
+    """Two slots, slot 1 of the fibered kind holding functions of x only:
+    the swallowtail (xi, xi t + t^4) reads rank 54 under A-star and 55
+    under A at order 6, and seeded sparse planar germs agree too."""
+    cap = 7
+    xi = TruncatedPoly.variable(SOURCE_VARS, "xi", cap)
+    t = TruncatedPoly.variable(SOURCE_VARS, "t", cap)
+    swallowtail = MapGerm((xi, xi * t + t**4))
+    kinds = (KIND_FIBERED, KIND_FULL)
+    ranks = {kind: naive_tangent_rank(swallowtail, 6, kind) for kind in kinds}
+    assert ranks == {KIND_FIBERED: 54, KIND_FULL: 55}
+    germs = [swallowtail]
+    for seed in range(30):
+        f1, f2, f3 = random_sparse_germ(random.Random(seed), 5, max_degree=4)
+        germs.append(MapGerm((f1, f2 + f3)))
+    for germ in germs:
+        for kind in kinds:
+            basis = build_extended_tangent_space(germ, order=min(6, germ.cap - 1), kind=kind)
+            assert naive_tangent_rank(germ, basis.order, kind) == basis.rank, (germ, kind)
+
+
+def test_rank_oracle_draws_planar_and_spatial_germs(monkeypatch):
+    arities = []
+    naive = tanfam.selfcheck.naive_tangent_rank
+
+    def recording(germ, order, kind):
+        arities.append(germ.arity)
+        return naive(germ, order, kind)
+
+    monkeypatch.setattr(tanfam.selfcheck, "naive_tangent_rank", recording)
+    assert check_rank_oracle(seed=0, samples=10).ok
+    assert set(arities) == {2, 3}
+
+
 def test_suite_result_json_shape():
     result = check_ring_laws(seed=3, rounds=50)
     payload = result.to_json()

@@ -862,6 +862,25 @@ def test_umbrella_projection_is_beaks_with_lambda_t_versal(a):
             assert not basis.contains((zero, t)), (order, kind)
 
 
+@pytest.mark.parametrize("a", ["1/5", "1/4", "-1/2", "1/10", "-3", "-1", "0"])
+@pytest.mark.parametrize("b", [1, -1, 0])
+def test_umbrella_with_lambda_t_is_versal_except_at_a_zero(a, b):
+    """The graph half of the beaks claim: the A_e-codimension of the double
+    umbrella is 1 and (0, t, 0) lies outside the tangent space, so adding
+    it fills the jet space and lambda t unfolds the umbrella versally.
+    At a = 0 the codimension is the working order W, so (0, t, 0) cannot
+    fill it: that germ is not finitely determined."""
+    for order in (6, 9, 12):
+        germ = double_umbrella_form(a, b, order + 1, validate=False)
+        zero = TruncatedPoly.zero(SOURCE_VARS, order + 1)
+        t = TruncatedPoly.variable(SOURCE_VARS, "t", order + 1)
+        basis = build_extended_tangent_space(germ, order, KIND_FULL)
+        space, inside = basis._enlarged(triples=[(zero, t, zero)])
+        assert basis.codimension == (order if a == "0" else 1), order
+        assert not inside, order
+        assert (space.rank == basis.dimension) is (a != "0"), order
+
+
 def test_umbrella_projection_at_one_third_is_not_finitely_determined():
     # the 3-jet is (x, y^3): the codimension grows with the working order
     codimensions = [

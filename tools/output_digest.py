@@ -7,12 +7,16 @@ family given by u and of one given by k0, k1 and alpha, and both sweep
 modes at --grid 64), each in JSON and in text.  It also builds the exact
 tangent spaces of three germs, of the planar projection of the double
 umbrella at a = 1/5, b = 1, of a generic double umbrella at orders 7-9,
-and of the H and A branch lifts at caps 10 and 12.  A CLI case
-hashes its exit code, stdout, stderr and every file it wrote; each call
-runs in a fresh temporary directory, so relative output paths read the
-same on every run.  A library case hashes the canonical matrix and the
-provenance of one space, with the (3, 5, 4) block check of each
-umbrella order and the branch probe of each lift.  selfcheck is left
+and of the H and A branch lifts at caps 10 and 12, and evaluates the
+float Jacobian determinant (PlanarMap.det) of three maps on one fixed
+open mesh: the beaks frame at a = 1/5, b = 1, lambda = 0.1, the versal
+frame at a = 1/10, b = 1, lambda = 0, mu = (0.028, 0.019), and a seeded
+dense map.  A CLI case hashes its exit code, stdout, stderr and every
+file it wrote; each call runs in a fresh temporary directory, so
+relative output paths read the same on every run.  A library case
+hashes the canonical matrix and the provenance of one space, with the
+(3, 5, 4) block check of each umbrella order and the branch probe of
+each lift, or the determinant's values on the mesh.  selfcheck is left
 out: its payload holds timings.
 
 Usage: PYTHONPATH=<tree>/src python tools/output_digest.py
@@ -145,11 +149,41 @@ def library_records() -> Iterator[tuple[str, dict]]:
                 f"{KIND_FULL}-extended {family}-branch lift cap {cap} probe",
                 {**record(basis), "probe": probe_branch_index(germ, family).to_json()},
             )
+    yield from determinant_records()
+
+
+def determinant_records() -> Iterator[tuple[str, dict]]:
+    """PlanarMap.det of three maps on one fixed open mesh, as floats."""
+    import numpy as np
+
+    from tanfam import (
+        MODE_BEAKS,
+        MODE_VERSAL,
+        DeformationParams,
+        GridSpec,
+        PlanarMap,
+        apply_deformation,
+        double_umbrella_form,
+    )
+
+    maps = {
+        "beaks a=1/5 b=1 lambda=0.1": apply_deformation(
+            double_umbrella_form("1/5", "1"), DeformationParams(lam=0.1), MODE_BEAKS
+        ),
+        "versal a=1/10 b=1 lambda=0 mu=(0.028, 0.019)": apply_deformation(
+            double_umbrella_form("1/10", "1"), DeformationParams(0.0, 0.028, 0.019), MODE_VERSAL
+        ),
+        "dense 9x9 seed 5": PlanarMap(*np.random.default_rng(5).normal(size=(2, 9, 9))),
+    }
+    mesh = GridSpec(-1.0, 0.9, -1.1, 1.0, 97, 89).mesh()
+    for name, planar in maps.items():
+        yield f"PlanarMap.det {name} on a 97x89 mesh", {"det": planar.det(*mesh).tolist()}
 
 
 def library_digest(record: dict) -> str:
     """sha256 over one library record: the canonical matrix and the
-    provenance of one space, with a block check or a probe where given."""
+    provenance of one space, with a block check or a probe where given,
+    or the determinant's values on a mesh."""
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
