@@ -342,8 +342,9 @@ def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
     """Trace the criminant, map it to the envelope, emit the picture."""
     target = _envelope_target(args)
     try:
-        report = geometry.count_cusps(target, args.grid)
-        envelope = geometry.envelope_curves(target, report.curves)
+        planar = geometry.as_planar_map(target)
+        report = geometry.count_cusps(planar, args.grid)
+        envelope = geometry.envelope_curves(planar, report.curves)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     fits = []

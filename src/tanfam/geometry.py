@@ -233,8 +233,11 @@ def _evaluate(c: np.ndarray, xi, t) -> np.ndarray:
     return acc if acc.ndim else acc[()]
 
 
-def _criminant_array(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Float coefficients of D = x_xi * y_t - x_t * y_xi for the map (c1, c2).
+def _criminant_array(
+    x_xi: np.ndarray, x_t: np.ndarray, y_xi: np.ndarray, y_t: np.ndarray
+) -> np.ndarray:
+    """Float coefficients of D = x_xi * y_t - x_t * y_xi from the coefficient
+    arrays of the four Jacobian entries.
 
     D is the sum of the product terms a[i, j] * b[k, l], each added into
     entry (i + k, j + l), for (a, b) = (x_xi, y_t) and then (-x_t, y_xi).
@@ -244,10 +247,7 @@ def _criminant_array(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     that overflows leaves inf or NaN in D, which the grids evaluated from
     it then carry to _finite.
     """
-    pairs = (
-        (_derive_array(c1, 0), _derive_array(c2, 1)),
-        (-_derive_array(c1, 1), _derive_array(c2, 0)),
-    )
+    pairs = ((x_xi, y_t), (-x_t, y_xi))
     d = np.zeros(np.max([np.add(a.shape, b.shape) - 1 for a, b in pairs], axis=0))
     for a, b in pairs:
         i, j, k, l = np.ix_(*(np.arange(n) for n in a.shape + b.shape))
@@ -271,7 +271,7 @@ class PlanarMap:
         self._d1_t = _derive_array(self.c1, 1)
         self._d2_xi = _derive_array(self.c2, 0)
         self._d2_t = _derive_array(self.c2, 1)
-        self._det = _trim(_criminant_array(self.c1, self.c2))
+        self._det = _trim(_criminant_array(self._d1_xi, self._d1_t, self._d2_xi, self._d2_t))
 
     @classmethod
     def from_polys(cls, p1: TruncatedPoly, p2: TruncatedPoly) -> "PlanarMap":
@@ -300,33 +300,22 @@ class PlanarMap:
         return _evaluate(self._det, xi, t)
 
 
-def _is_open_mesh(xi, t) -> bool:
-    """Finite float samples laid out as an (N, 1) by (1, M) open mesh."""
-    return (
-        isinstance(xi, np.ndarray)
-        and isinstance(t, np.ndarray)
-        and xi.ndim == t.ndim == 2
-        and xi.shape[1] == 1
-        and t.shape[0] == 1
-        and xi.dtype.kind == t.dtype.kind == "f"
-        and bool(np.isfinite(xi).all() and np.isfinite(t).all())
-    )
-
-
 def _own_axes(c: np.ndarray, xi, t) -> tuple:
-    """The samples c needs: on an open mesh, only the axes it depends on.
+    """The samples c needs on the open mesh (xi, t) of GridSpec.mesh():
+    only the axes it depends on.
 
-    When xi and t form an open mesh (_is_open_mesh) and c has no -0.0
-    entry, a c without xi terms after _trim gets xi's first row only,
-    giving its (1, M) t row, one without t terms gets t's first column,
-    giving its (N, 1) xi column, and a constant gets both.  Broadcast back, these are the bits
+    When the samples are finite and c has no -0.0 entry, a c without xi
+    terms after _trim gets xi's first row only, giving its (1, M) t row,
+    one without t terms gets t's first column, giving its (N, 1) xi
+    column, and a constant gets both.  Broadcast back, these are the bits
     of the full-grid evaluation: with no -0.0 coefficient no Horner
     partial result is -0.0, so the xi * 0 and t * 0 terms that carried
-    the broadcast, each +-0.0 for a finite sample, add nothing to it.
-    Scattered points and anything else get xi and t unchanged.
+    the broadcast, each +-0.0 for a finite sample, add nothing to it.  A
+    sample that is not finite (a span that overflows) keeps the full
+    mesh, where it turns those terms into NaN for _finite to see.
     """
     c = _trim(c)
-    if _is_open_mesh(xi, t) and not (np.signbit(c) & (c == 0)).any():
+    if np.isfinite(xi).all() and np.isfinite(t).all() and not (np.signbit(c) & (c == 0)).any():
         if c.shape[0] == 1:
             xi = xi[:1]
         if c.shape[1] == 1:

@@ -255,14 +255,14 @@ def _canonical(variables: tuple[str, ...], cap: int, num: IntTable, den: int) ->
         num = {e: v // g for e, v in num.items()}
         den //= g
     jet = object.__new__(TruncatedPoly)
-    jet._vars, jet._cap, jet._num, jet._den, jet._hash = variables, cap, num, den, None
+    jet._vars, jet._cap, jet._num, jet._den = variables, cap, num, den
     return jet
 
 
 class TruncatedPoly:
     """A polynomial jet: exact coefficients, fixed variables, total-degree cap."""
 
-    __slots__ = ("_vars", "_cap", "_num", "_den", "_hash")
+    __slots__ = ("_vars", "_cap", "_num", "_den")
 
     def __init__(
         self,
@@ -297,7 +297,6 @@ class TruncatedPoly:
         self._cap = cap
         self._num = {e: v.numerator * (den // v.denominator) for e, v in table.items()}
         self._den = den
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -483,9 +482,7 @@ class TruncatedPoly:
         return self._vars == other._vars and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._vars, self._den, frozenset(self._num.items())))
-        return self._hash
+        return hash((self._vars, self._den, frozenset(self._num.items())))
 
     def to_text(self) -> str:
         """Canonical text form: terms in the global monomial order."""

@@ -5,11 +5,10 @@ generators touch few of their columns, so rows store only those.  Every
 row is rescaled to a primitive integer row (divide by the GCD of its
 entries, flip so the entry in the lowest column is positive), which
 keeps the arithmetic in integers and makes the reduced form unique,
-hence byte-for-byte reproducible.  Rows of integers, which is what the
-tangent-space builders and the elimination produce, take one gcd call
-and are rebuilt only when there is a zero to drop, a content to divide
-out or a sign to flip; only rows with Fraction entries pay for a pass
-that multiplies by the LCM of the denominators first.
+hence byte-for-byte reproducible.  Rows hold integers, which is what
+the tangent-space builders and the elimination produce; a row takes one
+gcd call and is rebuilt only when there is a zero to drop, a content to
+divide out or a sign to flip.
 
 RowSpace is an incremental echelon basis: rows are added one at a time
 and forward-reduced against the existing pivots, each row's pivot being
@@ -38,26 +37,16 @@ out copies of them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping
 
 SparseRow = dict[int, int]
 
 
-def primitive_row(row: Mapping[int, Fraction | int]) -> SparseRow:
-    """Rescale a sparse rational row to a primitive integer row with
-    positive lead entry, dropping zero entries.  Returns a new dict."""
-    try:
-        common = gcd(*row.values())
-    except TypeError:  # Fraction entries: clear the denominators first
-        denom = lcm(*(value.denominator for value in row.values()))
-        row = {
-            col: value.numerator * (denom // value.denominator)
-            for col, value in row.items()
-            if value != 0
-        }
-        common = gcd(*row.values())
+def primitive_row(row: Mapping[int, int]) -> SparseRow:
+    """Rescale a sparse integer row to a primitive row with positive lead
+    entry, dropping zero entries.  Returns a new dict."""
+    common = gcd(*row.values())
     if not common:
         return {}
     if 0 in row.values():
@@ -103,7 +92,7 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _prepare(self, row: Mapping[int, Fraction | int]) -> SparseRow:
+    def _prepare(self, row: Mapping[int, int]) -> SparseRow:
         if row and not (0 <= min(row) and max(row) < self.width):
             raise ValueError(f"row has a column outside 0..{self.width - 1}")
         return primitive_row(row)
@@ -118,7 +107,7 @@ class RowSpace:
             _eliminate(row, pivot_row, col)
         return row
 
-    def add(self, row: Mapping[int, Fraction | int]) -> bool:
+    def add(self, row: Mapping[int, int]) -> bool:
         """Insert a row; returns True iff it enlarged the space."""
         reduced = self._reduce(self._prepare(row))
         if not reduced:
@@ -126,7 +115,7 @@ class RowSpace:
         self._rows[min(reduced)] = primitive_row(reduced)
         return True
 
-    def contains(self, row: Mapping[int, Fraction | int]) -> bool:
+    def contains(self, row: Mapping[int, int]) -> bool:
         return not self._reduce(self._prepare(row))
 
     def pivot_columns(self) -> list[int]:

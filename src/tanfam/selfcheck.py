@@ -85,7 +85,6 @@ def random_jet(
     variables: Sequence[str] = SOURCE_VARS,
     cap: int = DEFAULT_CAP,
     terms: int = 2,
-    max_degree: int | None = None,
     vanishing: bool = False,
 ) -> TruncatedPoly:
     """Sparse random jet with small rational coefficients.
@@ -94,11 +93,10 @@ def random_jet(
     that a thousand rounds of triple products stay well under a second,
     while still exercising every code path of the arithmetic.
     """
-    top = cap if max_degree is None else max_degree
     low = 1 if vanishing else 0
     table: dict[Exponents, Fraction] = {}
     for _ in range(terms):
-        degree = rng.randint(low, top)
+        degree = rng.randint(low, cap)
         exponents = _random_exponents(rng, len(variables), degree)
         coeff = Fraction(rng.randint(1, 4), rng.randint(1, 4)) * rng.choice((1, -1))
         table[exponents] = table.get(exponents, Fraction(0)) + coeff

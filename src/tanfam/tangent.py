@@ -99,7 +99,7 @@ from tanfam.jets import (
     pullback,
     shared_numerators,
 )
-from tanfam.linalg import RowSpace, SparseRow, primitive_row
+from tanfam.linalg import RowSpace, SparseRow
 
 JetTriple = tuple[TruncatedPoly, ...]  # one jet per slot
 # The reduced space's source multipliers have degree >= 2: vector fields
@@ -112,7 +112,8 @@ Generator = tuple[tuple[str, Exponents, Sequence[str]], tuple[tuple[int, IntTabl
 KIND_FIBERED = "A-star"
 KIND_FULL = "A"
 # The ideal block the double umbrella's fibered tangent space is stated
-# to contain (slotwise degrees >= 3, >= 5, >= 4), for a outside {-1, 0}.
+# to contain (slotwise degrees >= 3, >= 5, >= 4), for a outside
+# {-1, 0, 1/3}.
 _UMBRELLA_BLOCK = (3, 5, 4)
 
 
@@ -151,8 +152,9 @@ def _coerce_triple(vec: Sequence[TruncatedPoly], germ: MapGerm) -> JetTriple:
 def flatten_triple(
     triple: Sequence[TruncatedPoly], columns: Mapping[tuple[int, Exponents], int]
 ) -> SparseRow:
-    """Primitive integer row of a jet vector (one jet per slot, a triple for a
-    germ in 3-space) over a (slot, monomial) -> column index.
+    """Integer row of a jet vector (one jet per slot, a triple for a germ in
+    3-space) over a (slot, monomial) -> column index: a positive multiple
+    of its true row, which RowSpace makes primitive.
 
     Terms whose monomial has no column (above the working order) are
     dropped.
@@ -164,7 +166,7 @@ def flatten_triple(
             j = columns.get((slot, md))
             if j is not None:
                 row[j] = value
-    return primitive_row(row)
+    return row
 
 
 def _lowest_degree(tables: Iterable[IntTable], order: int) -> int:

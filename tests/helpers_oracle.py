@@ -237,3 +237,25 @@ RIEGER_FORMS = {
     "gulls": (("1 xi", "1 xi t^2 + 1 t^4 + 1 t^5"), 2),
     "4_4": (("1 xi", "1 t^3 + 1 xi^4 t"), 3),
 }
+
+# Mond's normal forms of simple germs (R^2, 0) -> (R^3, 0) with their
+# A_e-codimensions (D. Mond, Proc. London Math. Soc. (3) 50 (1985)
+# 333-369), as component texts in (xi, t) = (x, y).  S_1^+- is the double
+# Whitney umbrella, S_0 the cross-cap; P_3 has a modulus c, taken at two
+# values.
+MOND_FORMS = {
+    "S_0": (("1 xi", "1 t^2", "1 xi t"), 0),
+    "S_1+": (("1 xi", "1 t^2", "1 t^3 + 1 xi^2 t"), 1),
+    "S_1-": (("1 xi", "1 t^2", "1 t^3 + -1 xi^2 t"), 1),
+    "S_2": (("1 xi", "1 t^2", "1 t^3 + 1 xi^3 t"), 2),
+    "S_3": (("1 xi", "1 t^2", "1 t^3 + 1 xi^4 t"), 3),
+    "B_2": (("1 xi", "1 t^2", "1 xi^2 t + 1 t^5"), 2),
+    "B_3": (("1 xi", "1 t^2", "1 xi^2 t + 1 t^7"), 3),
+    "C_3": (("1 xi", "1 t^2", "1 xi t^3 + 1 xi^3 t"), 3),
+    "F_4": (("1 xi", "1 t^2", "1 xi^3 t + 1 t^5"), 4),
+    "H_2": (("1 xi", "1 t^3", "1 xi t + 1 t^5"), 2),
+    "H_3": (("1 xi", "1 t^3", "1 xi t + 1 t^8"), 3),
+    "H_4": (("1 xi", "1 t^3", "1 xi t + 1 t^11"), 4),
+    "P_3(c=2)": (("1 xi", "1 xi t + 1 t^3", "1 xi t^2 + 2 t^4"), 4),
+    "P_3(c=1/3)": (("1 xi", "1 xi t + 1 t^3", "1 xi t^2 + 1/3 t^4"), 4),
+}

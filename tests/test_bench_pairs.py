@@ -4,33 +4,41 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "op_p50_s", "better": "lower"}]
+METRICS = [
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_s", "better": "lower", "bound": 0.25},
+]
 
 # A bench/run.py that logs its tree and prints a record line and a summary
-# line, reading its metrics off the number of runs already logged.
+# line, reading its metrics off the number of runs already logged: the
+# rate grows by SPREAD per earlier run.
 STUB = """\
 import json, sys
 from pathlib import Path
 log = Path(__file__).resolve().parents[2] / "order.log"
 runs = log.read_text().split() if log.exists() else []
 log.write_text(" ".join(runs + [Path.cwd().name]))
-rate = {RATE} + len(runs)
+rate = {RATE} + {SPREAD} * len(runs)
 print("record " + json.dumps({{"digests": {{"canonical-matrix": "{DIGEST}"}}}}))
 metrics = {{"ops_per_s": {{"value": rate}}, "op_p50_s": {{"value": 1 / rate}}}}
 print(json.dumps({{"failed": {FAILED}, "metrics": metrics}}))
 """
 
 
-def make_tree(root: Path, name: str, rate: int, digest: str, failed: int) -> Path:
+def make_tree(
+    root: Path, name: str, rate: int, digest: str, failed: int, spread: int = 1
+) -> Path:
     tree = root / name
     (tree / "bench").mkdir(parents=True)
     (tree / "bench" / "run.py").write_text(
-        STUB.format(RATE=rate, DIGEST=digest, FAILED=failed), encoding="utf-8"
+        STUB.format(RATE=rate, SPREAD=spread, DIGEST=digest, FAILED=failed), encoding="utf-8"
     )
     (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}), encoding="utf-8")
     return tree
@@ -50,6 +58,32 @@ def test_pairs_alternate_which_tree_runs_first(tmp_path, capsys):
     rows = {tuple(line.split()[:2]): line.split() for line in out}
     assert rows[("op_p50_s", "parent")][-1] == "0" and rows[("op_p50_s", "change")][-1] == "3"
     assert "failed parent: [2, 2, 2]" in out and "digests match: yes" in out
+    assert "ops_per_s    verdict within bound (bound 25%)" in out
+
+
+# (parent rate, change rate, spread): the parent runs read rates
+# R, R + 3s and R + 4s, the change runs R' + s, R' + 2s and R' + 5s
+@pytest.mark.parametrize(
+    "rates, expected",
+    [
+        ((100, 200, 1), "within bound"),  # the change is faster
+        ((100, 90, 1), "within bound"),  # about 10% slower, inside the 25% bound
+        ((200, 100, 1), "worse"),  # about half the rate
+        ((10, 10, 10), "unresolved"),  # parent 10, 40, 50: IQR 20 of median 40
+        ((10, 1000, 10), "within bound"),  # as wide, but every change run is faster
+    ],
+)
+def test_verdicts_read_the_gap_and_the_parent_spread_against_the_bound(
+    tmp_path, capsys, rates, expected
+):
+    parent_rate, change_rate, spread = rates
+    parent = make_tree(tmp_path, "parent", parent_rate, "same", 0, spread)
+    change = make_tree(tmp_path, "change", change_rate, "same", 0, spread)
+    args = [str(parent), str(change), "--workload", "cli-mix", "--pairs", "3", "--seed", "0"]
+    assert bench_pairs.main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    for name in ("ops_per_s", "op_p50_s"):
+        assert f"{name:<12} verdict {expected} (bound 25%)" in out, out
 
 
 def test_report_counts_wins_ties_and_digest_mismatch():

@@ -1,10 +1,12 @@
 """Family classification: invariants, the modulus a, branch index probes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from helpers_oracle import parse_component, sympy_rank
 from tanfam.families import (
     BranchIndex,
     FamilyGerm,
@@ -20,7 +22,15 @@ from tanfam.families import (
     legendrian_parameterization,
     probe_branch_index,
 )
-from tanfam.jets import MapGerm, SOURCE_VARS, TruncatedPoly
+from tanfam.jets import (
+    SOURCE_VARS,
+    MapGerm,
+    TruncatedPoly,
+    compose,
+    monomial_basis,
+    monomial_text,
+)
+from tanfam.tangent import KIND_FIBERED, KIND_FULL, build_extended_tangent_space
 
 XI = TruncatedPoly.variable(SOURCE_VARS, "xi", 8)
 T = TruncatedPoly.variable(SOURCE_VARS, "t", 8)
@@ -394,3 +404,140 @@ def test_double_umbrella_form_needs_its_cubic_terms(validate):
     with pytest.raises(ValueError, match="cap >= 3"):
         double_umbrella_form(Fraction(1, 5), 1, cap=2, validate=validate)
     assert double_umbrella_form(Fraction(1, 5), 1, cap=3, validate=validate).cap == 3
+
+
+# ---------------------------------------------------------------------------
+# verdicts against the codimension of the lifted graph
+
+
+def _nonzero(rng):
+    return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+# alpha / k1 off 1, 2/3 and 1/3: the double umbrella, with a > 0 exactly
+# for the ratios between 1/3 and 1
+_UMBRELLA_RATIOS = [Fraction(r) for r in ("1/2", "4/5", "2/5", "5/6", "0", "-1", "3/2", "1/5", "2")]
+_VARIANTS = {"fold": {"TypeI"}, "A1": {"A1Plus", "A1Minus"}, "H": {"HBranch"}, "A": {"ABranch"}}
+
+
+def seeded_family(rng, kind):
+    """A family of one kind at a cap from 8 to 12: "fold" (k0 != 0), "A1"
+    (k0 = 0 and alpha off k1, 2 k1 / 3 and k1 / 3), "H" (2 k1 = 3 alpha) or
+    "A" (k1 = 3 alpha), with up to 3 tangential tail terms off t^2, xi t^2
+    and t^3."""
+    cap = rng.randint(8, 12)
+    k1 = _nonzero(rng)
+    if kind == "fold":
+        k0, k1, alpha = _nonzero(rng), rng.choice((0, k1)), rng.choice((0, _nonzero(rng)))
+    else:
+        ratio = {"A1": rng.choice(_UMBRELLA_RATIOS), "H": Fraction(2, 3), "A": Fraction(1, 3)}
+        k0, alpha = 0, k1 * ratio[kind]
+    tail = {}
+    for _ in range(rng.randint(0, 3)):
+        exp_t = rng.randint(2, cap)
+        md = (rng.randint(0, cap - exp_t), exp_t)
+        if md not in ((0, 2), (1, 2), (0, 3)):
+            tail[md] = _nonzero(rng)
+    return family_from_invariants(k0, k1, alpha, TruncatedPoly(SOURCE_VARS, cap, tail), cap)
+
+
+def test_every_verdict_matches_the_codimension_of_its_graph():
+    """Under A the lifted graph's codimension at cap - 1 is 0 for the fold,
+    1 for the double umbrella (Mond's S_1), n for a resolved branch of
+    index n and at least lower_bound for an unresolved one.  It is read
+    off the whole tangent space, not the branch probe's block columns."""
+    rng = random.Random(14)
+    seen = Counter()
+    for kind in _VARIANTS:
+        for _ in range(40):
+            g = seeded_family(rng, kind)
+            label = classify(g)
+            assert label.variant in _VARIANTS[kind], (kind, g.u)
+            germ = legendrian_parameterization(g)
+            basis = build_extended_tangent_space(germ, g.cap - 1, KIND_FULL)
+            branch = label.branch
+            if branch is None:
+                expected = 0 if kind == "fold" else 1
+                assert basis.codimension == expected, g.u
+            elif branch.resolved:
+                assert basis.codimension == branch.n, g.u
+            else:
+                assert basis.codimension >= branch.lower_bound, g.u
+            seen[label.variant, branch is not None and branch.resolved] += 1
+    assert set(seen) == {
+        ("TypeI", False), ("A1Plus", False), ("A1Minus", False),
+        ("HBranch", True), ("HBranch", False), ("ABranch", True), ("ABranch", False),
+    }
+
+
+# one family per verdict: (k0, k1, alpha), tail, cap
+_ORACLE_FAMILIES = {
+    "TypeI": ((1, 2, 0), "1/2 xi t^4", 6),
+    "A1Plus": ((0, 1, "1/2"), "1 t^5", 6),
+    "A1Minus": ((0, 1, -1), None, 6),
+    "HBranch": ((0, 3, 2), "1 xi^2 t^3", 7),
+    "ABranch": ((0, 3, 1), None, 6),
+    "IndeterminateAtOrder": ((0, 0, 1), None, 6),
+}
+
+
+@pytest.mark.parametrize("variant", list(_ORACLE_FAMILIES))
+def test_graph_codimension_matches_the_sympy_oracle(variant):
+    invariants, higher, cap = _ORACLE_FAMILIES[variant]
+    g = family_from_invariants(*invariants, higher, cap)
+    assert classify(g).variant == variant
+    germ = legendrian_parameterization(g)
+    basis = build_extended_tangent_space(germ, cap - 1, KIND_FULL)
+    comps = [parse_component(text) for text in germ.to_texts()]
+    assert sympy_rank(comps, cap - 1, kind=KIND_FULL) == basis.rank
+
+
+# ---------------------------------------------------------------------------
+# tangential deformations of the lifted graph
+
+
+def enlarging_monomials(g, kind):
+    """The monomials m = xi^i t^j (j >= 2, i + j <= cap - 1) whose direction
+    (0, m o s, (dm/dt) o s), s the shift (xi - t, t), enlarges the lifted
+    graph's extended space when the directions are added in turn."""
+    cap = g.cap
+    xi, t = (TruncatedPoly.variable(SOURCE_VARS, name, cap) for name in SOURCE_VARS)
+    shift, zero = (xi - t, t), TruncatedPoly.zero(SOURCE_VARS, cap)
+    directions = {}
+    for md in monomial_basis(2, 2, cap - 1):
+        if md[1] >= 2:
+            m = TruncatedPoly(SOURCE_VARS, cap, {md: 1})
+            directions[md] = (zero, compose(m, shift), compose(m.derive("t"), shift))
+    basis = build_extended_tangent_space(legendrian_parameterization(g), cap - 1, kind)
+    _, inside = basis._enlarged(triples=directions.values())
+    return [monomial_text(md, SOURCE_VARS) for md, vec in directions.items() if vec not in inside]
+
+
+@pytest.mark.parametrize("cap", [6, 10, 14])
+@pytest.mark.parametrize(
+    "invariants, fibered",
+    [
+        ((1, 0, 0), []),
+        ((0, 1, "1/2"), ["xi t^2", "xi^2 t^2"]),
+        ((0, 1, 2), ["xi t^2", "xi^2 t^2"]),
+        ((0, 3, "-5/7"), ["xi t^2", "xi^2 t^2"]),
+    ],
+    ids=["fold", "A1-plus", "A1-minus", "A1-minus-k1-3"],
+)
+def test_tangential_directions_enlarge_only_the_fibered_umbrella_space(invariants, fibered, cap):
+    """The fold absorbs every tangential direction; the double umbrella
+    absorbs all but xi t^2 and xi^2 t^2 under A-star and all under A."""
+    g = family_from_invariants(*invariants, cap=cap)
+    assert enlarging_monomials(g, KIND_FIBERED) == fibered
+    assert enlarging_monomials(g, KIND_FULL) == []
+
+
+def test_tangential_directions_on_the_branch_families():
+    h = family_from_invariants(0, 1, Fraction(2, 3), cap=10)
+    assert enlarging_monomials(h, KIND_FIBERED) == [
+        "xi t^2", "xi^2 t^2", "xi^4 t^2", "xi^5 t^2", "xi^7 t^2"
+    ]
+    assert enlarging_monomials(h, KIND_FULL) == ["xi t^2", "xi^4 t^2", "xi^7 t^2"]
+    a = family_from_invariants(0, 1, Fraction(1, 3), cap=10)
+    every_xi_t = [f"xi t^{j}" for j in range(2, 9)]
+    assert enlarging_monomials(a, KIND_FIBERED) == enlarging_monomials(a, KIND_FULL) == every_xi_t

@@ -396,10 +396,11 @@ def _coefficient_arrays(draw):
 
 @st.composite
 def _sample_sets(draw):
-    """Open meshes, equal-shape scattered points (1-D and 2-D) or scalars."""
+    """(kind, xi, t): open meshes, equal-shape scattered points (1-D and
+    2-D) or scalars."""
     kind = draw(st.sampled_from(["open", "scattered", "scattered-2d", "scalars"]))
     if kind == "scalars":
-        return draw(_SAMPLE), draw(_SAMPLE)
+        return kind, draw(_SAMPLE), draw(_SAMPLE)
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     shapes = {"open": ((n, 1), (1, m)), "scattered": ((n,), (n,)), "scattered-2d": ((n, m),) * 2}
     arrays = []
@@ -407,10 +408,10 @@ def _sample_sets(draw):
         size = math.prod(shape)
         values = draw(st.lists(_SAMPLE, min_size=size, max_size=size))
         arrays.append(np.array(values).reshape(shape))
-    return tuple(arrays)
+    return kind, *arrays
 
 
-_MIXED_SIGNS = (np.array([[-1.0], [1.0]]), np.array([[-1.0, 1.0]]))
+_MIXED_SIGNS = ("open", np.array([[-1.0], [1.0]]), np.array([[-1.0, 1.0]]))
 
 
 @settings(database=None, deadline=None, max_examples=400)
@@ -420,18 +421,18 @@ _MIXED_SIGNS = (np.array([[-1.0], [1.0]]), np.array([[-1.0, 1.0]]))
 @example(np.array([[0.0], [-0.0]]), np.array([[0.0, 1.0]]), _MIXED_SIGNS)  # j11
 @example(np.array([[1.0, -0.0]]), np.array([[0.0, 1.0], [-0.0, 0.0]]), _MIXED_SIGNS)  # j12, j21
 def test_own_axes_determinant_matches_the_full_grid_reference(c1, c2, samples):
-    """On a finite open mesh each Jacobian entry on its own axes, broadcast,
-    has the full-grid bits; on every kind of samples, non-finite ones
-    included, the determinant has the bits of polyval2d over D's
+    """On an open mesh, non-finite samples included, each Jacobian entry
+    on its own axes, broadcast, has the full-grid bits; on every kind of
+    samples the determinant has the bits of polyval2d over D's
     coefficient array."""
-    xi, t = samples
+    kind, xi, t = samples
     shape = np.broadcast_shapes(np.shape(xi), np.shape(t))
     with np.errstate(all="ignore"):
         planar = PlanarMap(c1, c2)
         for c in (planar._d1_xi, planar._d1_t, planar._d2_xi, planar._d2_t):
-            own = _own_axes(c, xi, t)
-            got = np.broadcast_to(_evaluate(c, *own), shape)
-            _assert_same_bits(got, _evaluate(c, xi, t))
+            if kind == "open":
+                got = np.broadcast_to(_evaluate(c, *_own_axes(c, xi, t)), shape)
+                _assert_same_bits(got, _evaluate(c, xi, t))
         _assert_same_value(planar.det(xi, t), _reference_det(planar, xi, t))
 
 

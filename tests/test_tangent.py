@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracle import (
+    MOND_FORMS,
     RIEGER_FORMS,
     parse_component,
     reduced_echelon,
@@ -43,7 +44,7 @@ from tanfam.jets import (
     monomial_basis,
     monomial_text,
 )
-from tanfam.linalg import RowSpace, primitive_row
+from tanfam.linalg import RowSpace
 from tanfam.tangent import (
     KIND_FIBERED,
     KIND_FULL,
@@ -414,10 +415,9 @@ def test_block_caps_and_probes_match_unit_vector_reference(name):
         (t, xi, t * t),
     ]
     column = {(slot, md): j for j, slot, md in cells}
+    # the vectors have integer coefficients, so their numerators are the row
     rows = [
-        primitive_row(
-            {column[slot, md]: v for slot, comp in enumerate(vec) for md, v in comp.terms()}
-        )
+        {column[slot, md]: v.numerator for slot, comp in enumerate(vec) for md, v in comp.terms()}
         for vec in vectors
     ]
     base = reference_space(basis)
@@ -844,6 +844,20 @@ def test_rieger_codimensions_of_plane_to_plane_germs(name):
         assert (full.codimension, full.dimension) == (codimension, len(full.monomials) * 2)
         fibered = build_extended_tangent_space(germ, order, KIND_FIBERED)
         assert fibered.codimension == _FIBERED_RIEGER.get(name, codimension), order
+
+
+@pytest.mark.parametrize("name", sorted(MOND_FORMS))
+def test_mond_codimensions_of_plane_to_space_germs(name):
+    """The A_e-codimension of each of Mond's simple germs, read under A at
+    every working order from 6 to 14 (even) that holds its top term."""
+    texts, codimension = MOND_FORMS[name]
+    degree = max(TruncatedPoly.from_text(SOURCE_VARS, text, 20).degree() for text in texts)
+    orders = [order for order in (6, 8, 10, 12, 14) if order + 1 >= degree]
+    assert len(orders) >= 3
+    for order in orders:
+        germ = MapGerm([TruncatedPoly.from_text(SOURCE_VARS, text, order + 1) for text in texts])
+        basis = build_extended_tangent_space(germ, order, KIND_FULL)
+        assert basis.codimension == codimension, order
 
 
 @pytest.mark.parametrize("a", ["1/5", "1/4", "-1/2", "1/10", "-3", "-1", "0"])

@@ -15,8 +15,13 @@ For every end-to-end metric of BENCHMARK.json the report gives each
 side's median and quartiles over the pairs, the median gap (CHANGE minus
 PARENT), the parent's interquartile range, and how many pairs each side
 won in the metric's better direction, after one line per pair with both
-sides' values.  It then gives each side's failed counts and whether the
-output digests of every run agree.
+sides' values.  A verdict line per metric reads it against the metric's
+bound b from BENCHMARK.json: "unresolved" when the parent's IQR exceeds
+b times its median, so two runs of one tree can differ by more than the
+bound, unless every CHANGE run beats every PARENT run; otherwise "worse"
+when the median gap in the worse direction exceeds b times the parent's
+median, and "within bound" when it does not.  The report then gives each
+side's failed counts and whether the output digests of every run agree.
 """
 
 from __future__ import annotations
@@ -56,6 +61,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """The metric's verdict on the two sides' runs (see the module docstring)."""
+    lower, bound = metric["better"] == "lower", metric["bound"]
+    q1, median, q3 = quartiles(parent)
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > bound * median and not beats_all:
+        return "unresolved"
+    worse_gap = (quartiles(change)[1] - median) * (1 if lower else -1)
+    return "worse" if worse_gap > bound * median else "within bound"
+
+
 def report(runs: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
     names = [metric["name"] for metric in metrics]
     lines = []
@@ -85,6 +101,10 @@ def report(runs: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
         lines.append(
             f"{name:<12} gap {gap:+.5g} ({gap / parent_median:+.1%}), "
             f"parent IQR {q3 - q1:.5g}, {metric['better']} is better"
+        )
+        lines.append(
+            f"{name:<12} verdict {verdict(values['parent'], values['change'], metric)} "
+            f"(bound {metric['bound']:.0%})"
         )
     for side in SIDES:
         lines.append(f"failed {side}: {[run['failed'] for run in runs[side]]}")
