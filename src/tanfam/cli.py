@@ -59,6 +59,7 @@ from tanfam.jets import (
     TruncatedPoly,
     as_fraction,
     check_grid_rectangle,
+    criminant,
 )
 from tanfam.tangent import (
     _UMBRELLA_BLOCK,
@@ -339,8 +340,13 @@ def _envelope_target(args: argparse.Namespace) -> MapGerm:
 
 
 def cmd_envelope(args: argparse.Namespace) -> tuple[dict, int]:
-    """Trace the criminant, map it to the envelope, emit the picture."""
+    """Trace the criminant, map it to the envelope, emit the picture.
+
+    A map whose Jacobian determinant is identically 0 has no criminant
+    curve, since every point is critical: exit 1, before any tracing."""
     target = _envelope_target(args)
+    if criminant(target).is_zero:
+        raise CLIError("the Jacobian determinant is identically 0: every point is critical")
     try:
         planar = geometry.as_planar_map(target)
         report = geometry.count_cusps(planar, args.grid)
@@ -415,22 +421,17 @@ COMMANDS = {
 
 def _text_lines(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for key in value:
-            child = value[key]
-            if isinstance(child, (dict, list)) and child:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(child, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(child)}")
+        pairs = [(f"{key}:", child) for key, child in value.items()]
     else:
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+        pairs = [("-", item) for item in value]
+    lines: list[str] = []
+    for label, child in pairs:
+        if isinstance(child, (dict, list)) and child:
+            lines.append(f"{pad}{label}")
+            lines.extend(_text_lines(child, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_scalar(child)}")
     return lines
 
 

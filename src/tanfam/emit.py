@@ -158,41 +158,20 @@ def obj_document(surface: LiftedSurface) -> str:
     dense, but no face touches them.  Each fully placeable grid cell
     becomes two triangles.
     """
-    nx = surface.grid.resolution_xi
     nt = surface.grid.resolution_t
-    placeable = np.asarray(~surface.invalid, dtype=bool).copy()
-    heights = np.zeros((nx, nt), dtype=float)
-    affine = placeable & (surface.chart == 0)
-    heights[affine] = surface.slope[affine]
-    reciprocal = placeable & (surface.chart == 1)
     # 1/q is inf where q is 0 or so small that it overflows: no finite slope
     with np.errstate(divide="ignore", over="ignore"):
-        heights[reciprocal] = 1.0 / surface.slope[reciprocal]
-    no_slope = ~np.isfinite(heights)
-    heights[no_slope] = 0.0
-    placeable &= ~no_slope
-
-    lines: list[str] = []
-    for i in range(nx):
-        for j in range(nt):
-            lines.append(
-                f"v {_fmt(surface.x[i, j])} {_fmt(surface.y[i, j])} {_fmt(heights[i, j])}"
-            )
-    for i in range(nx - 1):
-        for j in range(nt - 1):
-            if not (
-                placeable[i, j]
-                and placeable[i + 1, j]
-                and placeable[i + 1, j + 1]
-                and placeable[i, j + 1]
-            ):
-                continue
-            v00 = i * nt + j + 1
-            v10 = (i + 1) * nt + j + 1
-            v11 = (i + 1) * nt + j + 2
-            v01 = i * nt + j + 2
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
+        heights = np.where(surface.chart == 0, surface.slope, 1.0 / surface.slope)
+    placeable = ~np.asarray(surface.invalid, dtype=bool) & np.isfinite(heights)
+    heights[~placeable] = 0.0
+    columns = (surface.x.ravel().tolist(), surface.y.ravel().tolist(), heights.ravel().tolist())
+    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(h)}" for x, y, h in zip(*columns)]
+    cells = placeable[:-1, :-1] & placeable[1:, :-1] & placeable[1:, 1:] & placeable[:-1, 1:]
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(cells))):
+        v00 = i * nt + j + 1
+        v10 = v00 + nt
+        lines.append(f"f {v00} {v10} {v10 + 1}")
+        lines.append(f"f {v00} {v10 + 1} {v00 + 1}")
     return "\n".join(lines) + "\n"
 
 

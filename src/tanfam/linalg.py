@@ -6,9 +6,15 @@ row is rescaled to a primitive integer row (divide by the GCD of its
 entries, flip so the entry in the lowest column is positive), which
 keeps the arithmetic in integers and makes the reduced form unique,
 hence byte-for-byte reproducible.  Rows hold integers, which is what
-the tangent-space builders and the elimination produce; a row takes one
-gcd call and is rebuilt only when there is a zero to drop, a content to
-divide out or a sign to flip.
+the tangent-space builders and the elimination produce.  Each stored
+row takes one primitive step: an incoming row is only copied without
+its zero entries, add() makes the reduced row primitive when it stores
+it, and contains() never makes a row primitive.  The stored row is the
+one a primitive incoming row would give: scaling a row by k != 0 scales
+each elimination step's result by a nonzero factor of k's sign, with
+the same pivot sequence, and the primitive step removes that factor.
+primitive_row takes one gcd call and rebuilds the row only when there
+is a zero to drop, a content to divide out or a sign to flip.
 
 RowSpace is an incremental echelon basis: rows are added one at a time
 and forward-reduced against the existing pivots, each row's pivot being
@@ -93,9 +99,10 @@ class RowSpace:
         return len(self._rows)
 
     def _prepare(self, row: Mapping[int, int]) -> SparseRow:
+        """A copy of row without its zero entries, its columns checked."""
         if row and not (0 <= min(row) and max(row) < self.width):
             raise ValueError(f"row has a column outside 0..{self.width - 1}")
-        return primitive_row(row)
+        return {col: value for col, value in row.items() if value}
 
     def _reduce(self, row: SparseRow) -> SparseRow:
         """Forward-reduce row, which the caller owns, in place; returns it."""

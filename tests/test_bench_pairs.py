@@ -18,7 +18,8 @@ METRICS = [
 
 # A bench/run.py that logs its tree and prints a record line and a summary
 # line, reading its metrics off the number of runs already logged: the
-# rate grows by SPREAD per earlier run.
+# rate grows by SPREAD per earlier run.  It attempts 100 operations, and
+# its check passes only while it fails at most 2 of them.
 STUB = """\
 import json, sys
 from pathlib import Path
@@ -28,7 +29,8 @@ log.write_text(" ".join(runs + [Path.cwd().name]))
 rate = {RATE} + {SPREAD} * len(runs)
 print("record " + json.dumps({{"digests": {{"canonical-matrix": "{DIGEST}"}}}}))
 metrics = {{"ops_per_s": {{"value": rate}}, "op_p50_s": {{"value": 1 / rate}}}}
-print(json.dumps({{"failed": {FAILED}, "metrics": metrics}}))
+summary = {{"correct": {FAILED} <= 2, "attempted": 100, "failed": {FAILED}}}
+print(json.dumps({{**summary, "metrics": metrics}}))
 """
 
 
@@ -57,7 +59,8 @@ def test_pairs_alternate_which_tree_runs_first(tmp_path, capsys):
     assert out[2].startswith("pair 2 (change first)")
     rows = {tuple(line.split()[:2]): line.split() for line in out}
     assert rows[("op_p50_s", "parent")][-1] == "0" and rows[("op_p50_s", "change")][-1] == "3"
-    assert "failed parent: [2, 2, 2]" in out and "digests match: yes" in out
+    assert "failed parent: [2/100, 2/100, 2/100], 6/300 (2.0%) overall" in out
+    assert "digests match: yes" in out
     assert "ops_per_s    verdict within bound (bound 25%)" in out
 
 
@@ -88,7 +91,7 @@ def test_verdicts_read_the_gap_and_the_parent_spread_against_the_bound(
 
 def test_report_counts_wins_ties_and_digest_mismatch():
     def run(rate, digest="a"):
-        return {"failed": 0, "digests": {"d": digest},
+        return {"correct": True, "attempted": 8, "failed": 0, "digests": {"d": digest},
                 "metrics": {"ops_per_s": rate, "op_p50_s": 1 / rate}}
 
     runs = {"parent": [run(10), run(10), run(12)], "change": [run(10), run(11, "b"), run(11)]}
@@ -99,3 +102,13 @@ def test_report_counts_wins_ties_and_digest_mismatch():
     assert rows[("ops_per_s", "parent")][2:5] == ["10", "10", "11"]  # median, q1, q3
     assert "ops_per_s    gap +1 (+10.0%), parent IQR 1, higher is better" in lines
     assert lines[-1] == "digests match: no"
+
+
+def test_report_gives_the_failed_share_and_marks_incorrect_runs(tmp_path, capsys):
+    parent = make_tree(tmp_path, "parent", 100, "same", 2)
+    change = make_tree(tmp_path, "change", 100, "same", 5)
+    args = [str(parent), str(change), "--workload", "float-sweep", "--pairs", "2", "--seed", "0"]
+    assert bench_pairs.main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "failed parent: [2/100, 2/100], 4/200 (2.0%) overall" in out
+    assert "failed change: [5/100 incorrect, 5/100 incorrect], 10/200 (5.0%) overall" in out

@@ -545,6 +545,26 @@ def test_envelope_empty_window_notes_it(capsys, tmp_path):
     check_schema(payload, "envelope")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        '{"components": ["1 xi", "0"]}',
+        '{"components": ["1 xi + 1 t", "1 xi^2 + 2 xi t + 1 t^2"]}',
+        '{"u": "0"}',
+    ],
+    ids=["zero-component", "y-a-function-of-x", "zero-family"],
+)
+def test_envelope_of_a_map_with_zero_jacobian_determinant_is_malformed(capsys, tmp_path, raw):
+    # every point is critical; before, exit 0 with "no criminant in the window"
+    out_path = tmp_path / "env.svg"
+    code, out, err = run(capsys, "envelope", "--input", raw, "--out", str(out_path))
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error:") and "identically 0" in err
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_envelope_fit_overflow_reports_null(capsys, tmp_path):
     # before, a NaN fit reached json.dumps and main() died with a traceback
     code, payload, _ = run_json(

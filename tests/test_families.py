@@ -420,12 +420,12 @@ _UMBRELLA_RATIOS = [Fraction(r) for r in ("1/2", "4/5", "2/5", "5/6", "0", "-1",
 _VARIANTS = {"fold": {"TypeI"}, "A1": {"A1Plus", "A1Minus"}, "H": {"HBranch"}, "A": {"ABranch"}}
 
 
-def seeded_family(rng, kind):
-    """A family of one kind at a cap from 8 to 12: "fold" (k0 != 0), "A1"
-    (k0 = 0 and alpha off k1, 2 k1 / 3 and k1 / 3), "H" (2 k1 = 3 alpha) or
-    "A" (k1 = 3 alpha), with up to 3 tangential tail terms off t^2, xi t^2
-    and t^3."""
-    cap = rng.randint(8, 12)
+def seeded_family(rng, kind, caps=(8, 12)):
+    """A family of one kind at a cap drawn from the closed range caps:
+    "fold" (k0 != 0), "A1" (k0 = 0 and alpha off k1, 2 k1 / 3 and k1 / 3),
+    "H" (2 k1 = 3 alpha) or "A" (k1 = 3 alpha), with up to 3 tangential
+    tail terms off t^2, xi t^2 and t^3."""
+    cap = rng.randint(*caps)
     k1 = _nonzero(rng)
     if kind == "fold":
         k0, k1, alpha = _nonzero(rng), rng.choice((0, k1)), rng.choice((0, _nonzero(rng)))
@@ -530,6 +530,30 @@ def test_tangential_directions_enlarge_only_the_fibered_umbrella_space(invariant
     g = family_from_invariants(*invariants, cap=cap)
     assert enlarging_monomials(g, KIND_FIBERED) == fibered
     assert enlarging_monomials(g, KIND_FULL) == []
+
+
+def test_tangential_count_of_the_double_umbrella_is_its_fibered_codimension_minus_2():
+    """On seeded A1 families at caps 6-12 with random tangential tails,
+    the tangential directions that enlarge the A-star space number its
+    codimension at cap - 1 minus 2, and none enlarge the A space.  The
+    count is 2 only on the codimension-4 stratum, where the tail-free
+    families of the test above lie; alpha = 0 and some tails leave it.
+    Seeded fold families read none under either group."""
+    rng = random.Random(5)
+    strata = Counter()
+    for _ in range(80):
+        g = seeded_family(rng, "A1", (6, 12))
+        assert classify(g).variant in _VARIANTS["A1"], g.u
+        germ = legendrian_parameterization(g)
+        codimension = build_extended_tangent_space(germ, g.cap - 1, KIND_FIBERED).codimension
+        assert len(enlarging_monomials(g, KIND_FIBERED)) == codimension - 2, (g.cap, g.u)
+        assert enlarging_monomials(g, KIND_FULL) == [], (g.cap, g.u)
+        strata[codimension] += 1
+    assert len(strata) > 1 and strata[4] < 80  # more than the codimension-4 stratum
+    rng = random.Random(11)
+    for _ in range(30):
+        g = seeded_family(rng, "fold", (6, 12))
+        assert enlarging_monomials(g, KIND_FIBERED) == enlarging_monomials(g, KIND_FULL) == []
 
 
 def test_tangential_directions_on_the_branch_families():

@@ -21,7 +21,10 @@ b times its median, so two runs of one tree can differ by more than the
 bound, unless every CHANGE run beats every PARENT run; otherwise "worse"
 when the median gap in the worse direction exceeds b times the parent's
 median, and "within bound" when it does not.  The report then gives each
-side's failed counts and whether the output digests of every run agree.
+run's failed and attempted operations, marked "incorrect" where the
+run's own output check did not pass (a fault other than the workload's
+known ones), each side's overall failed share, and whether the output
+digests of every run agree.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ def run_bench(tree: Path, args) -> dict:
     record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
     summary = json.loads(lines[-1])
     return {
+        "correct": summary["correct"],
+        "attempted": summary["attempted"],
         "failed": summary["failed"],
         "digests": record["digests"],
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
@@ -107,7 +112,15 @@ def report(runs: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
             f"(bound {metric['bound']:.0%})"
         )
     for side in SIDES:
-        lines.append(f"failed {side}: {[run['failed'] for run in runs[side]]}")
+        shown = ", ".join(
+            f"{run['failed']}/{run['attempted']}{'' if run['correct'] else ' incorrect'}"
+            for run in runs[side]
+        )
+        failed = sum(run["failed"] for run in runs[side])
+        attempted = sum(run["attempted"] for run in runs[side])
+        lines.append(
+            f"failed {side}: [{shown}], {failed}/{attempted} ({failed / attempted:.1%}) overall"
+        )
     digests = {json.dumps(run["digests"], sort_keys=True) for side in SIDES for run in runs[side]}
     lines.append(f"digests match: {'yes' if len(digests) == 1 else 'no'}")
     return lines

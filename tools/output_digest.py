@@ -11,13 +11,18 @@ and of the H and A branch lifts at caps 10 and 12, and evaluates the
 float Jacobian determinant (PlanarMap.det) of three maps on one fixed
 open mesh: the beaks frame at a = 1/5, b = 1, lambda = 0.1, the versal
 frame at a = 1/10, b = 1, lambda = 0, mu = (0.028, 0.019), and a seeded
-dense map.  A CLI case hashes its exit code, stdout, stderr and every
-file it wrote; each call runs in a fresh temporary directory, so
-relative output paths read the same on every run.  A library case
-hashes the canonical matrix and the provenance of one space, with the
-(3, 5, 4) block check of each umbrella order and the branch probe of
-each lift, or the determinant's values on the mesh.  selfcheck is left
-out: its payload holds timings.
+dense map.  It renders three OBJ meshes (emit.obj_document): the lifts
+of (xi + t, xi t^2 + 1/2 t^3) and of its swap, whose reciprocal chart
+takes over, at grid 33, and a seeded hand-built LiftedSurface with
+invalid samples, a reciprocal q = 0, reciprocals whose 1/q overflows,
+and -0.0 and subnormal slopes.  A CLI case hashes its exit code,
+stdout, stderr and every file it wrote; each call runs in a fresh
+temporary directory, so relative output paths read the same on every
+run.  A library case hashes the canonical matrix and the provenance of
+one space, with the (3, 5, 4) block check of each umbrella order and
+the branch probe of each lift, or the determinant's values on the
+mesh, or the OBJ text.  selfcheck is left out: its payload holds
+timings.
 
 Usage: PYTHONPATH=<tree>/src python tools/output_digest.py
 Prints one "sha256  case" line per case.  Run it against two trees' src
@@ -150,6 +155,7 @@ def library_records() -> Iterator[tuple[str, dict]]:
                 {**record(basis), "probe": probe_branch_index(germ, family).to_json()},
             )
     yield from determinant_records()
+    yield from obj_records()
 
 
 def determinant_records() -> Iterator[tuple[str, dict]]:
@@ -180,10 +186,42 @@ def determinant_records() -> Iterator[tuple[str, dict]]:
         yield f"PlanarMap.det {name} on a 97x89 mesh", {"det": planar.det(*mesh).tolist()}
 
 
+def obj_records() -> Iterator[tuple[str, dict]]:
+    """emit.obj_document of two lifts and of one hand-built surface."""
+    import numpy as np
+
+    from tanfam import (
+        SOURCE_VARS,
+        GridSpec,
+        LiftedSurface,
+        MapGerm,
+        TruncatedPoly,
+        legendrian_lift,
+    )
+    from tanfam.emit import obj_document
+
+    texts = ("1 xi + 1 t", "1 xi t^2 + 1/2 t^3")
+    first, second = (TruncatedPoly.from_text(SOURCE_VARS, text, 8) for text in texts)
+    pairs = {"(xi + t, xi t^2 + 1/2 t^3)": (first, second), "its swap": (second, first)}
+    for name, germ in pairs.items():
+        surface = legendrian_lift(MapGerm(germ), GridSpec.square(1.0, 33))
+        yield f"OBJ lift of {name} at grid 33", {"obj": obj_document(surface)}
+    rng = np.random.default_rng(7)
+    x, y, slope = rng.normal(size=(3, 6, 5))
+    chart = rng.integers(0, 2, size=(6, 5))
+    invalid = rng.random((6, 5)) < 0.15
+    # (sample, chart, slope): q = 0, two 1/q that overflow, -0.0 and a subnormal p
+    for (i, j), side, value in [((0, 0), 1, 0.0), ((1, 2), 1, 1e-310), ((4, 0), 1, -1e-320),
+                                ((2, 1), 0, -0.0), ((3, 3), 0, 5e-324)]:
+        chart[i, j], slope[i, j] = side, value
+    surface = LiftedSurface(GridSpec(-1.0, 1.0, -0.5, 0.5, 6, 5), x, y, slope, chart, invalid)
+    yield "OBJ hand-built 6x5 surface seed 7", {"obj": obj_document(surface)}
+
+
 def library_digest(record: dict) -> str:
     """sha256 over one library record: the canonical matrix and the
     provenance of one space, with a block check or a probe where given,
-    or the determinant's values on a mesh."""
+    or the determinant's values on a mesh, or an OBJ text."""
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
